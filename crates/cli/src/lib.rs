@@ -76,7 +76,7 @@ USAGE:
               [--heat-out <path> [--regions <pages>]]
   gms-sim cluster --nodes <k> --active <a> [--app <name>] [--policy <label>]
               [--memory full|half|quarter|<frames>] [--scale <f>]
-              [--threads <n>] [--net atm|ethernet|fast4|fast16]
+              [--net atm|ethernet|fast4|fast16]
               [--replacement lru|fifo|clock|random2]
               [--replicas <k>] [--repair-rate <bytes/s>]
               [--max-fetch-attempts <n>] [--max-putpage-attempts <n>]
@@ -92,13 +92,13 @@ USAGE:
   gms-sim explain --app <name> --policy <label> [--worst <k>] [--slo <dur>]
               [--window <dur>] [--memory full|half|quarter|<frames>] [--scale <f>]
               [--net ...] [--replacement ...] [--pal] [--fault-plan <spec>]
-              [--nodes <k> --active <a> [--threads <n>]]
+              [--nodes <k> --active <a>]
               [--json <path>] [--trace-out <path>]
   gms-sim heat --app <name> --policy <label> [--by region|page|node]
               [--regions <pages>] [--top <n>]
               [--memory full|half|quarter|<frames>] [--scale <f>]
               [--net ...] [--replacement ...] [--pal] [--fault-plan <spec>]
-              [--nodes <k> --active <a> [--threads <n>]]
+              [--nodes <k> --active <a>]
               [--json <path>] [--perfetto-out <path>]
   gms-sim diff-trace <a.summary.json> <b.summary.json> [--tolerance <pct>] [--full]
   gms-sim diff-bench <a.json> <b.json> [--tolerance <pct>]
@@ -113,10 +113,8 @@ available cores); the reports are identical to a serial run.
 Cluster runs replay the app (default: gdb, eager 1 KB, 1/2 memory) on
 each of the <a> active nodes at once; the remaining nodes serve as idle
 memory hosts, and every transfer contends on the shared wires and
-serving-node CPU/DMA. --threads <n> runs the node event loops on up to
-<n> worker threads under a conservative scheduler; the report is
-byte-identical whatever the thread count (default: 1, the serial
-reference).
+serving-node CPU/DMA. A cluster run is single-threaded and
+deterministic.
 
 --replicas <k> keeps k copies of every evicted page on k distinct idle
 nodes (default 1, the paper's single-copy global memory). With k >= 2 a
@@ -484,10 +482,7 @@ pub fn execute(argv: &[String]) -> Result<String, CliError> {
                 Some(m) => parse_memory(&m)?,
                 None => MemoryConfig::Half,
             };
-            let scale: f64 = match args.take_value("--scale") {
-                Some(s) => s.parse().map_err(|_| err("bad --scale"))?,
-                None => 1.0,
-            };
+            let scale = parse_scale(&mut args)?;
             let net = match args.take_value("--net") {
                 Some(n) => parse_net(&n)?,
                 None => NetParams::paper(),
@@ -530,10 +525,7 @@ pub fn execute(argv: &[String]) -> Result<String, CliError> {
                     .take_value("--app")
                     .ok_or_else(|| err("--app is required"))?,
             )?;
-            let scale: f64 = match args.take_value("--scale") {
-                Some(s) => s.parse().map_err(|_| err("bad --scale"))?,
-                None => 1.0,
-            };
+            let scale = parse_scale(&mut args)?;
             let jobs = match args.take_value("--jobs") {
                 Some(j) => {
                     let n: usize = j.parse().map_err(|_| err("bad --jobs"))?;
@@ -597,20 +589,7 @@ pub fn execute(argv: &[String]) -> Result<String, CliError> {
                 Some(m) => parse_memory(&m)?,
                 None => MemoryConfig::Half,
             };
-            let scale: f64 = match args.take_value("--scale") {
-                Some(s) => s.parse().map_err(|_| err("bad --scale"))?,
-                None => 1.0,
-            };
-            let threads: u32 = match args.take_value("--threads") {
-                Some(t) => {
-                    let n: u32 = t.parse().map_err(|_| err("bad --threads"))?;
-                    if n == 0 {
-                        return Err(err("--threads must be at least 1"));
-                    }
-                    n
-                }
-                None => 1,
-            };
+            let scale = parse_scale(&mut args)?;
             let net = match args.take_value("--net") {
                 Some(n) => parse_net(&n)?,
                 None => NetParams::paper(),
@@ -635,7 +614,6 @@ pub fn execute(argv: &[String]) -> Result<String, CliError> {
                 &app.scaled(scale),
                 nodes,
                 active,
-                threads,
                 policy,
                 memory,
                 net,
@@ -665,10 +643,7 @@ pub fn execute(argv: &[String]) -> Result<String, CliError> {
                 Some(m) => parse_memory(&m)?,
                 None => MemoryConfig::Half,
             };
-            let scale: f64 = match args.take_value("--scale") {
-                Some(s) => s.parse().map_err(|_| err("bad --scale"))?,
-                None => 1.0,
-            };
+            let scale = parse_scale(&mut args)?;
             let net = match args.take_value("--net") {
                 Some(n) => parse_net(&n)?,
                 None => NetParams::paper(),
@@ -686,18 +661,7 @@ pub fn execute(argv: &[String]) -> Result<String, CliError> {
                     "bad --by '{by}' (expected resource, class or node)"
                 )));
             }
-            let cluster = match (args.take_value("--nodes"), args.take_value("--active")) {
-                (None, None) => None,
-                (Some(n), Some(a)) => {
-                    let nodes: u32 = n.parse().map_err(|_| err("bad --nodes"))?;
-                    let active: u32 = a.parse().map_err(|_| err("bad --active"))?;
-                    if active == 0 || active >= nodes {
-                        return Err(err("need 0 < --active < --nodes"));
-                    }
-                    Some((nodes, active))
-                }
-                _ => return Err(err("--nodes and --active go together")),
-            };
+            let cluster = parse_node_pair(&mut args)?;
             let fault_plan = args.take_value("--fault-plan");
             let json_out = args.take_value("--json").map(PathBuf::from);
             args.finish()?;
@@ -729,10 +693,7 @@ pub fn execute(argv: &[String]) -> Result<String, CliError> {
                 Some(m) => parse_memory(&m)?,
                 None => MemoryConfig::Half,
             };
-            let scale: f64 = match args.take_value("--scale") {
-                Some(s) => s.parse().map_err(|_| err("bad --scale"))?,
-                None => 1.0,
-            };
+            let scale = parse_scale(&mut args)?;
             let net = match args.take_value("--net") {
                 Some(n) => parse_net(&n)?,
                 None => NetParams::paper(),
@@ -760,33 +721,7 @@ pub fn execute(argv: &[String]) -> Result<String, CliError> {
                 Some(s) => parse_duration(&s)?,
                 None => Duration::from_millis(1),
             };
-            let threads: u32 = match args.take_value("--threads") {
-                Some(t) => {
-                    let n: u32 = t.parse().map_err(|_| err("bad --threads"))?;
-                    if n == 0 {
-                        return Err(err("--threads must be at least 1"));
-                    }
-                    n
-                }
-                None => 1,
-            };
-            let cluster = match (args.take_value("--nodes"), args.take_value("--active")) {
-                (None, None) => {
-                    if threads != 1 {
-                        return Err(err("--threads only applies to cluster runs (--nodes)"));
-                    }
-                    None
-                }
-                (Some(n), Some(a)) => {
-                    let nodes: u32 = n.parse().map_err(|_| err("bad --nodes"))?;
-                    let active: u32 = a.parse().map_err(|_| err("bad --active"))?;
-                    if active == 0 || active >= nodes {
-                        return Err(err("need 0 < --active < --nodes"));
-                    }
-                    Some((nodes, active, threads))
-                }
-                _ => return Err(err("--nodes and --active go together")),
-            };
+            let cluster = parse_node_pair(&mut args)?;
             let fault_plan = args.take_value("--fault-plan");
             let json_out = args.take_value("--json").map(PathBuf::from);
             let trace_out = args.take_value("--trace-out").map(PathBuf::from);
@@ -822,10 +757,7 @@ pub fn execute(argv: &[String]) -> Result<String, CliError> {
                 Some(m) => parse_memory(&m)?,
                 None => MemoryConfig::Half,
             };
-            let scale: f64 = match args.take_value("--scale") {
-                Some(s) => s.parse().map_err(|_| err("bad --scale"))?,
-                None => 1.0,
-            };
+            let scale = parse_scale(&mut args)?;
             let net = match args.take_value("--net") {
                 Some(n) => parse_net(&n)?,
                 None => NetParams::paper(),
@@ -854,33 +786,7 @@ pub fn execute(argv: &[String]) -> Result<String, CliError> {
                 }
                 None => 10,
             };
-            let threads: u32 = match args.take_value("--threads") {
-                Some(t) => {
-                    let n: u32 = t.parse().map_err(|_| err("bad --threads"))?;
-                    if n == 0 {
-                        return Err(err("--threads must be at least 1"));
-                    }
-                    n
-                }
-                None => 1,
-            };
-            let cluster = match (args.take_value("--nodes"), args.take_value("--active")) {
-                (None, None) => {
-                    if threads != 1 {
-                        return Err(err("--threads only applies to cluster runs (--nodes)"));
-                    }
-                    None
-                }
-                (Some(n), Some(a)) => {
-                    let nodes: u32 = n.parse().map_err(|_| err("bad --nodes"))?;
-                    let active: u32 = a.parse().map_err(|_| err("bad --active"))?;
-                    if active == 0 || active >= nodes {
-                        return Err(err("need 0 < --active < --nodes"));
-                    }
-                    Some((nodes, active, threads))
-                }
-                _ => return Err(err("--nodes and --active go together")),
-            };
+            let cluster = parse_node_pair(&mut args)?;
             let fault_plan = args.take_value("--fault-plan");
             let json_out = args.take_value("--json").map(PathBuf::from);
             let perfetto_out = args.take_value("--perfetto-out").map(PathBuf::from);
@@ -1002,6 +908,36 @@ fn list_apps() -> String {
 /// Writes `content` to `path`, mapping IO failures into [`CliError`].
 fn write_file(path: &Path, content: &str) -> Result<(), CliError> {
     std::fs::write(path, content).map_err(|e| err(format!("cannot write {}: {e}", path.display())))
+}
+
+/// Parses `--scale` (default 1.0): a finite factor above zero.
+fn parse_scale(args: &mut Args) -> Result<f64, CliError> {
+    let Some(text) = args.take_value("--scale") else {
+        return Ok(1.0);
+    };
+    match text.parse::<f64>() {
+        Ok(scale) if scale.is_finite() && scale > 0.0 => Ok(scale),
+        _ => Err(err(format!(
+            "bad --scale '{text}' (need a finite factor above 0)"
+        ))),
+    }
+}
+
+/// Parses the optional `--nodes <k> --active <a>` pair that switches
+/// profile, explain and heat from a serial run to a cluster run.
+fn parse_node_pair(args: &mut Args) -> Result<Option<(u32, u32)>, CliError> {
+    match (args.take_value("--nodes"), args.take_value("--active")) {
+        (None, None) => Ok(None),
+        (Some(n), Some(a)) => {
+            let nodes: u32 = n.parse().map_err(|_| err("bad --nodes"))?;
+            let active: u32 = a.parse().map_err(|_| err("bad --active"))?;
+            if active == 0 || active >= nodes {
+                return Err(err("need 0 < --active < --nodes"));
+            }
+            Ok(Some((nodes, active)))
+        }
+        _ => Err(err("--nodes and --active go together")),
+    }
 }
 
 /// Parses a `--fault-plan` spec. Percentage times are taken relative to
@@ -1365,6 +1301,8 @@ fn sweep_command(
         sweep = sweep.configure(move |b| b.fault_plan(plan.clone()));
     }
     if let Some(dir) = &trace_dir {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| err(format!("cannot create {}: {e}", dir.display())))?;
         sweep = sweep.trace_dir(dir.clone());
     }
     if heat.wanted() {
@@ -1414,7 +1352,6 @@ fn cluster_command(
     app: &AppProfile,
     nodes: u32,
     active: u32,
-    threads: u32,
     policy: FetchPolicy,
     memory: MemoryConfig,
     net: NetParams,
@@ -1434,7 +1371,6 @@ fn cluster_command(
         .net(net)
         .replacement(replacement)
         .cluster_nodes(nodes)
-        .threads(threads)
         .retry(retry)
         .replication(replication)
         .build();
@@ -1756,7 +1692,7 @@ fn explain_command(
     net: NetParams,
     replacement: ReplacementKind,
     pal: bool,
-    cluster: Option<(u32, u32, u32)>,
+    cluster: Option<(u32, u32)>,
     worst: usize,
     window: Option<Duration>,
     slo: Duration,
@@ -1775,8 +1711,8 @@ fn explain_command(
         .net(net)
         .replacement(replacement)
         .access_cost(access_cost);
-    if let Some((nodes, _, threads)) = cluster {
-        builder = builder.cluster_nodes(nodes).threads(threads);
+    if let Some((nodes, _)) = cluster {
+        builder = builder.cluster_nodes(nodes);
     }
     let mut config = builder.build();
     if let Some(spec) = fault_plan {
@@ -1792,7 +1728,7 @@ fn explain_command(
         Cluster(ClusterReport),
     }
     let (what, ran) = match cluster {
-        Some((nodes, active, _)) => {
+        Some((nodes, active)) => {
             let apps = vec![app.clone(); active as usize];
             let report = ClusterSim::new(config).run_recorded(&apps, &mut flight);
             (
@@ -2176,7 +2112,7 @@ fn heat_command(
     net: NetParams,
     replacement: ReplacementKind,
     pal: bool,
-    cluster: Option<(u32, u32, u32)>,
+    cluster: Option<(u32, u32)>,
     by: &str,
     region_pages: Option<u64>,
     top: usize,
@@ -2195,8 +2131,8 @@ fn heat_command(
         .net(net)
         .replacement(replacement)
         .access_cost(access_cost);
-    if let Some((nodes, _, threads)) = cluster {
-        builder = builder.cluster_nodes(nodes).threads(threads);
+    if let Some((nodes, _)) = cluster {
+        builder = builder.cluster_nodes(nodes);
     }
     let mut config = builder.build();
     if let Some(spec) = fault_plan {
@@ -2221,7 +2157,7 @@ fn heat_command(
         Cluster(ClusterReport),
     }
     let (what, ran) = match cluster {
-        Some((nodes, active, _)) => {
+        Some((nodes, active)) => {
             let apps = vec![app.clone(); active as usize];
             let report = ClusterSim::new(config).run_recorded(&apps, &mut heat);
             (
@@ -2502,16 +2438,13 @@ fn trace_cells(doc: &JsonValue) -> Result<BTreeMap<String, f64>, CliError> {
 /// a 67% relative delta on an absolute drift the ms cells bound at a
 /// few percent), and environment facts like the worker count that
 /// legitimately differ between a laptop baseline and a CI runner
-/// (`jobs`, `threads` — and with them the thread-scaling wall-clock
-/// cells, whose values depend entirely on how many cores the host
-/// offers).
-const INFORMATIONAL_CELLS: [&str; 10] = [
+/// (`jobs` — and with it the parallel sweep's wall-clock, whose value
+/// depends entirely on how many cores the host offers).
+const INFORMATIONAL_CELLS: [&str; 8] = [
     "overhead_pct",
     "speedup",
     "jobs",
     "jobs_secs",
-    "threads",
-    "threads_ms_per_run",
     // The adaptive-policy cells are new: informational until a few CI
     // rounds establish how much they wobble, then they join the gate.
     "leap_1024_ms_per_run",
@@ -3492,36 +3425,44 @@ mod tests {
         assert!(execute(&argv("cluster --nodes 4 --active 0 --app gdb")).is_err());
         assert!(execute(&argv("cluster --active 2 --app gdb")).is_err());
         assert!(execute(&argv("cluster --nodes 4 --active 2 --app no-such-app")).is_err());
+        // Cluster runs are single-threaded: there is no --threads flag.
+        assert!(execute(&argv("cluster --nodes 4 --active 2 --threads 2")).is_err());
         // --app is optional: the default workload is gdb.
         let out = execute(&argv("cluster --nodes 4 --active 2 --scale 0.05")).unwrap();
         assert!(out.contains("2 active node(s)"), "{out}");
     }
 
     #[test]
-    fn cluster_threads_flag_is_output_invariant() {
-        // The tentpole's CLI face: the same cluster run under 1, 2 and
-        // 8 worker threads prints the identical report.
-        let serial = execute(&argv(
-            "cluster --nodes 6 --active 3 --app gdb --scale 0.05 --threads 1",
-        ))
-        .unwrap();
-        for threads in [2, 8] {
-            let parallel = execute(&argv(&format!(
-                "cluster --nodes 6 --active 3 --app gdb --scale 0.05 --threads {threads}"
-            )))
-            .unwrap();
-            assert_eq!(serial, parallel, "--threads {threads} diverged");
+    fn scale_must_be_a_finite_factor_above_zero() {
+        for cmd in [
+            "run --app gdb --policy sp_1024",
+            "sweep --app gdb",
+            "cluster --nodes 4 --active 2",
+            "profile --app gdb --policy sp_1024",
+            "explain --app gdb --policy sp_1024",
+            "heat --app gdb --policy sp_1024",
+        ] {
+            for scale in ["0", "-1", "nan", "inf", "banana"] {
+                let e = execute(&argv(&format!("{cmd} --scale {scale}"))).unwrap_err();
+                assert!(
+                    e.to_string().contains("--scale"),
+                    "{cmd} --scale {scale}: {e}"
+                );
+            }
         }
-        // Omitting the flag means the serial reference.
-        let default =
-            execute(&argv("cluster --nodes 6 --active 3 --app gdb --scale 0.05")).unwrap();
-        assert_eq!(serial, default);
     }
 
     #[test]
-    fn cluster_threads_flag_validates() {
-        assert!(execute(&argv("cluster --nodes 4 --active 2 --threads 0")).is_err());
-        assert!(execute(&argv("cluster --nodes 4 --active 2 --threads banana")).is_err());
+    fn sweep_trace_dir_beneath_a_file_is_an_error() {
+        let file = temp_path("trace-dir-parent");
+        std::fs::write(&file, "a regular file").unwrap();
+        let e = execute(&argv(&format!(
+            "sweep --app gdb --scale 0.02 --policies sp_1024 --trace-dir {}",
+            file.join("cells").display()
+        )))
+        .unwrap_err();
+        assert!(e.to_string().contains("cannot create"), "{e}");
+        let _ = std::fs::remove_file(&file);
     }
 
     #[test]
@@ -4186,21 +4127,13 @@ mod tests {
     fn cluster_explain_reports_every_node_and_window() {
         let out = execute(&argv(
             "explain --app gdb --policy sp_1024 --scale 0.1 --nodes 5 --active 2 \
-             --threads 2 --worst 2 --window 20ms --slo 500us",
+             --worst 2 --window 20ms --slo 500us",
         ))
         .unwrap();
         assert!(out.contains("5-node cluster, 2 active"), "{out}");
         assert!(out.contains("node 0:"), "{out}");
         assert!(out.contains("node 1:"), "{out}");
         assert!(out.contains("windows"), "{out}");
-        // The same explain under different thread counts prints the
-        // identical report — exemplar selection is deterministic.
-        let serial = execute(&argv(
-            "explain --app gdb --policy sp_1024 --scale 0.1 --nodes 5 --active 2 \
-             --worst 2 --window 20ms --slo 500us",
-        ))
-        .unwrap();
-        assert_eq!(serial, out, "thread count changed the exemplar set");
     }
 
     #[test]
@@ -4370,15 +4303,6 @@ mod tests {
         let trace = std::fs::read_to_string(&counters).unwrap();
         assert!(trace.contains("wire-utilization"), "{trace}");
         assert!(trace.contains("hot-region"), "{trace}");
-        // The identical command under worker threads prints the same
-        // report and the same document bytes.
-        let threaded = execute(&argv(&format!("{cmd} --threads 4"))).unwrap();
-        assert_eq!(threaded, out, "thread count changed the heat report");
-        assert_eq!(
-            std::fs::read_to_string(&json).unwrap(),
-            doc,
-            "thread count changed the heat document"
-        );
         let _ = std::fs::remove_file(&json);
         let _ = std::fs::remove_file(&counters);
     }

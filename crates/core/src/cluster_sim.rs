@@ -2,13 +2,11 @@
 //!
 //! [`ClusterSim`] advances *A* active nodes — each replaying its own
 //! application trace against its own page table, frame pool and LRU —
-//! under deterministic conservative schedulers over one shared
-//! [`ClusterNetwork`] and one shared GMS. Concurrent faults, follow-on
-//! pipelines and putpage
-//! write-backs from different nodes contend on the shared wires and on
-//! the serving nodes' CPU and DMA, so each node's page-wait grows with
-//! cluster load (the effect [`ClusterReport`] surfaces as queueing delay
-//! and wire utilization).
+//! over one shared [`ClusterNetwork`] and one shared GMS. Concurrent
+//! faults, follow-on pipelines and putpage write-backs from different
+//! nodes contend on the shared wires and on the serving nodes' CPU and
+//! DMA, so each node's page-wait grows with cluster load (the effect
+//! [`ClusterReport`] surfaces as queueing delay and wire utilization).
 //!
 //! `Simulator::run` is exactly the one-active-node case: both funnel
 //! into [`run_cluster`], so a single-app cluster run and a serial run
@@ -19,16 +17,17 @@
 //! Each node alternates between a *local phase* (runs on fully-resident
 //! pages, touching only node-private state) and *shared sections* (the
 //! parked run that may fault, refill or evict through the shared
-//! network and GMS). Shared sections commit in exactly ascending
-//! `(park clock, node id)` order — the schedulers in [`crate::sched`]
-//! realize that order serially (a heap) or on a worker-thread pool (a
-//! conservative grant rule with lookahead-quantized progress bounds).
-//! Because the commit order is a pure function of the inputs, the same
-//! inputs give the same report every time, *independent of the
-//! configured thread count*: `SimConfig::threads` is purely a
-//! wall-clock knob.
+//! network and GMS). [`run_cluster`] commits shared sections in exactly
+//! ascending `(park clock, node id)` order, popping the minimum from a
+//! binary heap. Because that order is a pure function of the inputs,
+//! the same inputs give the same report every time. A run is
+//! single-threaded; host parallelism comes from running independent
+//! simulations side by side (`Sweep::run_parallel`).
 //!
 //! [`ClusterNetwork`]: gms_net::ClusterNetwork
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use gms_cluster::Gms;
 use gms_mem::PageId;
@@ -46,7 +45,7 @@ use crate::{RunReport, SimConfig};
 /// One active node's workload: a trace, its footprint and base address.
 pub(crate) struct NodeInput<'a> {
     /// The reference trace the node replays.
-    pub source: &'a mut (dyn TraceSource + Send),
+    pub source: &'a mut dyn TraceSource,
     /// Total touched span, for sizing memory and warming the cache.
     pub footprint: Bytes,
     /// Page-aligned base of the footprint.
@@ -54,7 +53,8 @@ pub(crate) struct NodeInput<'a> {
 }
 
 /// Replays one trace per active node over a shared network and GMS,
-/// under the deterministic conservative schedulers of [`crate::sched`].
+/// committing shared sections in canonical `(park clock, node id)`
+/// order.
 /// Returns one report per active node, the aggregate network
 /// statistics, and the per-node network breakdown (one entry per
 /// cluster node, active and idle). Lifecycle and occupancy events
@@ -65,7 +65,7 @@ pub(crate) struct NodeInput<'a> {
 ///
 /// Panics if `inputs` is empty, if the config has no idle node left to
 /// donate memory, or if any footprint is zero.
-pub(crate) fn run_cluster<R: Recorder + Send>(
+pub(crate) fn run_cluster<R: Recorder>(
     cfg: &SimConfig,
     inputs: &mut [NodeInput<'_>],
     rec: &mut R,
@@ -133,18 +133,27 @@ pub(crate) fn run_cluster<R: Recorder + Send>(
         })
         .collect();
 
-    // Drive every node to completion under the canonical commit order.
-    // Thread count never changes the results, only the wall clock.
-    if cfg.threads <= 1 || drivers.len() == 1 {
-        crate::sched::run_serial(&mut drivers, inputs, &mut ctx);
-    } else {
-        crate::sched::run_parallel(&mut drivers, inputs, &mut ctx, cfg.threads);
+    // Drive every node to completion under the canonical commit order:
+    // advance each node to its park, then repeatedly commit the minimal
+    // `(park clock, id)` node's shared section and re-advance it.
+    let mut parked: BinaryHeap<Reverse<(SimTime, usize)>> =
+        BinaryHeap::with_capacity(drivers.len());
+    for (i, (driver, input)) in drivers.iter_mut().zip(inputs.iter_mut()).enumerate() {
+        if !driver.advance_local(&mut *input.source) {
+            parked.push(Reverse((driver.clock(), i)));
+        }
+    }
+    while let Some(Reverse((_, i))) = parked.pop() {
+        drivers[i].process_pending_shared(&mut ctx);
+        if !drivers[i].advance_local(&mut *inputs[i].source) {
+            parked.push(Reverse((drivers[i].clock(), i)));
+        }
     }
 
     // Close any window of vulnerability still open at the end of the
     // run: exposure that never healed counts in full. The network
     // horizon (latest booked instant) is a pure function of the inputs,
-    // so the close time is thread-count independent.
+    // so the close time is deterministic.
     let end = ctx.net.horizon();
     if let Some(gms) = ctx.gms.as_mut() {
         gms.close_vulnerability(end.elapsed_since(SimTime::ZERO).as_nanos());
@@ -267,11 +276,7 @@ impl ClusterSim {
     /// # Panics
     ///
     /// Panics if `apps` is empty or leaves no idle node in the cluster.
-    pub fn run_recorded<R: Recorder + Send>(
-        &self,
-        apps: &[AppProfile],
-        rec: &mut R,
-    ) -> ClusterReport {
+    pub fn run_recorded<R: Recorder>(&self, apps: &[AppProfile], rec: &mut R) -> ClusterReport {
         let mut sources: Vec<_> = apps.iter().map(AppProfile::source).collect();
         let mut inputs: Vec<NodeInput<'_>> = sources
             .iter_mut()
@@ -400,101 +405,49 @@ mod tests {
 
     #[test]
     fn cluster_runs_are_deterministic() {
+        // Adaptive engines included: each node's engine is fed only that
+        // node's stream in replay order, so history-dependent plans are
+        // a pure function of the inputs.
         let app = gms_trace::apps::ld().scaled(0.1);
-        let run = || ClusterSim::new(config(5)).run(&[app.clone(), app.clone()]);
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn parallel_scheduler_matches_serial() {
-        // The tentpole property in miniature: the same workload under
-        // 1, 2 and 8 worker threads produces the identical report.
-        let apps = [
-            gms_trace::apps::gdb().scaled(0.05),
-            gms_trace::apps::render().scaled(0.05),
-            gms_trace::apps::ld().scaled(0.05),
-        ];
-        let run = |threads: u32| {
-            let cfg = SimConfig::builder()
-                .policy(FetchPolicy::eager(SubpageSize::S1K))
-                .memory(MemoryConfig::Half)
-                .cluster_nodes(7)
-                .threads(threads)
-                .build();
-            ClusterSim::new(cfg).run(&apps)
-        };
-        let serial = run(1);
-        for threads in [2, 8] {
-            assert_eq!(serial, run(threads), "threads={threads} diverged");
-        }
-    }
-
-    #[test]
-    fn adaptive_policies_match_serial_across_thread_counts() {
-        // The policy-engine determinism rule, end to end: each node's
-        // engine is fed only that node's stream in replay order, so the
-        // history-dependent plans — and therefore the whole report —
-        // are independent of the worker thread count.
-        let apps = [
-            gms_trace::apps::gdb().scaled(0.05),
-            gms_trace::apps::render().scaled(0.05),
-            gms_trace::apps::ld().scaled(0.05),
-        ];
         for policy in [
+            FetchPolicy::eager(SubpageSize::S1K),
             FetchPolicy::leap(SubpageSize::S1K),
             FetchPolicy::indigo(SubpageSize::S1K),
         ] {
-            let run = |threads: u32| {
-                let cfg = SimConfig::builder()
-                    .policy(policy)
-                    .memory(MemoryConfig::Half)
-                    .cluster_nodes(7)
-                    .threads(threads)
-                    .build();
-                ClusterSim::new(cfg).run(&apps)
+            let cfg = SimConfig {
+                policy,
+                ..config(5)
             };
-            let serial = run(1);
-            for node in &serial.nodes {
+            let run = || ClusterSim::new(cfg.clone()).run(&[app.clone(), app.clone()]);
+            let first = run();
+            for node in &first.nodes {
                 node.assert_conserved();
             }
-            for threads in [2, 8] {
-                assert_eq!(
-                    serial,
-                    run(threads),
-                    "{} threads={threads} diverged",
-                    policy.label()
-                );
-            }
+            assert_eq!(first, run(), "{} diverged", policy.label());
         }
     }
 
     #[test]
     fn five_hundred_twelve_node_cluster_runs() {
         // Guarded page-id namespacing at scale: 512 nodes' footprints
-        // coexist in one GMS without colliding, and the parallel
-        // scheduler agrees with the serial one on the result.
+        // coexist in one GMS without colliding.
         let apps = [
             gms_trace::apps::gdb().scaled(0.02),
             gms_trace::apps::ld().scaled(0.02),
             gms_trace::apps::render().scaled(0.02),
             gms_trace::apps::modula3().scaled(0.02),
         ];
-        let run = |threads: u32| {
-            let cfg = SimConfig::builder()
-                .policy(FetchPolicy::eager(SubpageSize::S1K))
-                .memory(MemoryConfig::Half)
-                .cluster_nodes(512)
-                .threads(threads)
-                .build();
-            ClusterSim::new(cfg).run(&apps)
-        };
-        let serial = run(1);
-        assert_eq!(serial.nodes.len(), 4);
-        assert_eq!(serial.per_node.len(), 512);
-        for node in &serial.nodes {
+        let cfg = SimConfig::builder()
+            .policy(FetchPolicy::eager(SubpageSize::S1K))
+            .memory(MemoryConfig::Half)
+            .cluster_nodes(512)
+            .build();
+        let report = ClusterSim::new(cfg).run(&apps);
+        assert_eq!(report.nodes.len(), 4);
+        assert_eq!(report.per_node.len(), 512);
+        for node in &report.nodes {
             node.assert_conserved();
         }
-        assert_eq!(serial, run(4));
     }
 
     #[test]

@@ -19,9 +19,8 @@
 //! drivers share — the network and the global memory service — lives in
 //! [`ClusterCtx`]. [`Simulator`] runs one driver to completion (the
 //! single-active-node case); `ClusterSim` drives several over the same
-//! shared context under the conservative schedulers of [`crate::sched`],
-//! serially or on a worker-thread pool, with byte-identical results
-//! either way.
+//! shared context, committing their shared sections in canonical
+//! `(park clock, node id)` order.
 
 use std::collections::HashMap;
 
@@ -142,7 +141,7 @@ impl Simulator {
     /// recording call site compiles away and the report is byte-identical
     /// to [`run`](Simulator::run)'s (the recorder is a write-only side
     /// channel — it never feeds back into timing).
-    pub fn run_recorded<R: Recorder + Send>(&self, app: &AppProfile, rec: &mut R) -> RunReport {
+    pub fn run_recorded<R: Recorder>(&self, app: &AppProfile, rec: &mut R) -> RunReport {
         let mut source = app.source();
         self.run_trace_recorded(&mut *source, app.footprint(), LAYOUT_BASE, rec)
     }
@@ -154,14 +153,14 @@ impl Simulator {
     ///
     /// This is the single-active-node case of the cluster runner: the
     /// report is byte-identical to a `ClusterSim` run with one active
-    /// node because both drive the same scheduler.
+    /// node because both drive the same commit loop.
     ///
     /// # Panics
     ///
     /// Panics if `footprint` is zero.
     pub fn run_trace(
         &self,
-        source: &mut (dyn TraceSource + Send),
+        source: &mut dyn TraceSource,
         footprint: gms_units::Bytes,
         base: VirtAddr,
     ) -> RunReport {
@@ -174,9 +173,9 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics if `footprint` is zero.
-    pub fn run_trace_recorded<R: Recorder + Send>(
+    pub fn run_trace_recorded<R: Recorder>(
         &self,
-        source: &mut (dyn TraceSource + Send),
+        source: &mut dyn TraceSource,
         footprint: gms_units::Bytes,
         base: VirtAddr,
         rec: &mut R,
@@ -387,8 +386,8 @@ impl<'r, R: Recorder> ClusterCtx<'r, R> {
 
     /// Sends at most one queued background repair copy, if the pacer
     /// allows it at `now`. Called from [`apply_fault_schedule`], whose
-    /// invocation sequence is canonical across thread counts (shared
-    /// sections commit in ascending `(park clock, node id)` order), so
+    /// invocation sequence is canonical (shared sections commit in
+    /// ascending `(park clock, node id)` order), so
     /// the repair traffic — real transfers on the shared network,
     /// contending with foreground faults — is deterministic too. With
     /// the default single-copy config the queue is always empty and
@@ -459,13 +458,13 @@ pub(crate) struct NodeDriver<'a> {
     putpage_overhead: Duration,
 
     /// A run taken off the trace but not yet guaranteed local: the node
-    /// is *parked* at its current clock until the scheduler grants it a
-    /// shared section. `Run` is `Copy`, so stashing it is free.
+    /// is *parked* at its current clock until the commit loop grants it
+    /// a shared section. `Run` is `Copy`, so stashing it is free.
     pending_run: Option<Run>,
 
     frames: FramePool,
     table: PageTable,
-    lru: Box<dyn ReplacementPolicy + Send>,
+    lru: Box<dyn ReplacementPolicy>,
     events: EventCore,
     armed: HashMap<PageId, SubpageIndex>,
     /// The per-run policy engine planning whole-page faults. Static
@@ -575,16 +574,7 @@ impl<'a> NodeDriver<'a> {
     /// interact with the cluster, stashing it in `pending_run` ("parking"
     /// at the current clock), or when the trace ends. Returns whether
     /// the trace is exhausted.
-    ///
-    /// `progress` is invoked with the clock after each processed run so
-    /// a parallel scheduler can publish a conservative lower bound on
-    /// this node's next shared-section commit (the clock never runs
-    /// backwards, and the parked commit happens at the park clock).
-    pub fn advance_local(
-        &mut self,
-        source: &mut (dyn TraceSource + Send),
-        progress: &mut dyn FnMut(SimTime),
-    ) -> bool {
+    pub fn advance_local(&mut self, source: &mut dyn TraceSource) -> bool {
         loop {
             let run = match self.pending_run.take() {
                 Some(run) => run,
@@ -595,7 +585,6 @@ impl<'a> NodeDriver<'a> {
             };
             if self.run_is_local(run) {
                 self.process_run_local(run);
-                progress(self.clock);
             } else {
                 self.pending_run = Some(run);
                 return false;
@@ -603,11 +592,10 @@ impl<'a> NodeDriver<'a> {
         }
     }
 
-    /// Executes the parked run against the shared context. Only the
-    /// scheduler that granted this node the global minimum
-    /// `(park clock, node id)` may call this: shared-section commits
-    /// must happen in exactly that order for reports to be independent
-    /// of the thread count.
+    /// Executes the parked run against the shared context. Only call
+    /// this for the node holding the global minimum
+    /// `(park clock, node id)`: shared-section commits must happen in
+    /// exactly that order for reports to be deterministic.
     ///
     /// # Panics
     ///

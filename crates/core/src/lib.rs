@@ -25,9 +25,9 @@
 //! contend on wires and serving-node CPU/DMA, and the report surfaces
 //! the resulting queueing delay and wire utilization. `Simulator` is its
 //! single-active-node case — the two produce byte-identical reports for
-//! the same workload. Cluster runs scale across host cores with
-//! [`SimConfigBuilder::threads`]: a conservative parallel scheduler
-//! keeps reports byte-identical at every thread count.
+//! the same workload. A cluster run is single-threaded and
+//! deterministic; host cores are used by running many of them at once
+//! ([`Sweep::run_parallel`]).
 //!
 //! # Examples
 //!
@@ -69,7 +69,6 @@ mod pipeline;
 mod policy;
 mod policy_engine;
 mod report;
-mod sched;
 mod sweep;
 
 pub use analysis::{burstiness, cumulative_fault_series, downsample, sorted_wait_curve, speedup};

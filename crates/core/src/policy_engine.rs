@@ -11,7 +11,7 @@
 //!
 //! # Determinism rules
 //!
-//! Cluster runs must stay byte-identical at every thread count, so an
+//! Cluster runs must stay byte-identical from run to run, so an
 //! engine's state may be fed *only* from its own node's trace, in that
 //! node's execution order:
 //!
@@ -70,11 +70,8 @@ pub struct PlannedFault {
     pub decision: Option<(PolicyChoice, i8)>,
 }
 
-/// A per-run, per-node fault planner.
-///
-/// `Send` because cluster node drivers migrate across scheduler
-/// threads; the engine itself is never shared between nodes.
-pub trait PolicyEngine: Send {
+/// A per-run, per-node fault planner; never shared between nodes.
+pub trait PolicyEngine {
     /// Feeds one observation from the owning node's history.
     fn observe(&mut self, event: PolicyEvent);
 

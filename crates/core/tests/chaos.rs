@@ -151,153 +151,6 @@ proptest! {
         }
     }
 
-    /// The parallel scheduler's headline property: a recorded cluster
-    /// run is byte-identical across thread counts — the
-    /// [`gms_core::ClusterReport`], the exported summary JSON *string*
-    /// and the Perfetto trace *string* all match the serial reference
-    /// exactly, across policies × memories, with and without an
-    /// arbitrary fault plan, with recording enabled throughout.
-    #[test]
-    fn thread_count_never_changes_cluster_artifacts(plan in arb_plan()) {
-        let apps = [apps::gdb().scaled(0.03), apps::ld().scaled(0.03)];
-        for policy in [
-            FetchPolicy::eager(SubpageSize::S1K),
-            FetchPolicy::pipelined(SubpageSize::S2K),
-        ] {
-            for memory in [MemoryConfig::Half, MemoryConfig::Quarter] {
-                for plan in [None, Some(plan.clone())] {
-                    let run = |threads: u32| {
-                        let builder = SimConfig::builder()
-                            .policy(policy)
-                            .memory(memory)
-                            .cluster_nodes(5)
-                            .threads(threads);
-                        let cfg = match &plan {
-                            Some(plan) => builder.fault_plan(plan.clone()).build(),
-                            None => builder.build(),
-                        };
-                        let mut rec = MemoryRecorder::new();
-                        let report = ClusterSim::new(cfg).run_recorded(&apps, &mut rec);
-                        let summary = gms_core::cluster_summary_json(&report);
-                        let trace = gms_obs::perfetto_trace(rec.iter());
-                        (report, summary, trace)
-                    };
-                    let (report, summary, trace) = run(1);
-                    for threads in [2, 8] {
-                        let (r, s, t) = run(threads);
-                        prop_assert_eq!(
-                            &report, &r,
-                            "{} {:?} plan={} threads={}: report diverged",
-                            policy.label(), memory, plan.is_some(), threads
-                        );
-                        prop_assert_eq!(
-                            &summary, &s,
-                            "{} {:?} plan={} threads={}: summary JSON diverged",
-                            policy.label(), memory, plan.is_some(), threads
-                        );
-                        prop_assert_eq!(
-                            &trace, &t,
-                            "{} {:?} plan={} threads={}: Perfetto trace diverged",
-                            policy.label(), memory, plan.is_some(), threads
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// The flight recorder inherits the scheduler's determinism: the
-    /// retained exemplar set — identities, windows, final waits,
-    /// complete event chains — and the per-node SLO tallies are
-    /// identical at every thread count, with and without a fault plan,
-    /// because both schedulers feed the recorder in canonical commit
-    /// order. This is what lets `gms-sim explain` answer the same way
-    /// however the cluster was scheduled.
-    #[test]
-    fn thread_count_never_changes_flight_exemplars(plan in arb_plan()) {
-        let apps = [apps::gdb().scaled(0.03), apps::ld().scaled(0.03)];
-        let policy = FetchPolicy::pipelined(SubpageSize::S1K);
-        for plan in [None, Some(plan.clone())] {
-            let run = |threads: u32| {
-                let builder = SimConfig::builder()
-                    .policy(policy)
-                    .memory(MemoryConfig::Quarter)
-                    .cluster_nodes(5)
-                    .threads(threads);
-                let cfg = match &plan {
-                    Some(plan) => builder.fault_plan(plan.clone()).build(),
-                    None => builder.build(),
-                };
-                let mut rec = FlightRecorder::new(4)
-                    .with_window(Duration::from_millis(50))
-                    .with_slo(Duration::from_micros(200));
-                let report = ClusterSim::new(cfg).run_recorded(&apps, &mut rec);
-                rec.seal();
-                let meta: Vec<_> = rec
-                    .exemplars()
-                    .iter()
-                    .map(|e| (e.node, e.page, e.subpage, e.window, e.wait, e.events.len()))
-                    .collect();
-                let tallies: Vec<_> = rec
-                    .windows()
-                    .map(|(node, ws)| (node, ws.to_vec()))
-                    .collect();
-                (report, meta, rec.exemplar_events(), tallies)
-            };
-            let serial = run(1);
-            for threads in [2, 8] {
-                let threaded = run(threads);
-                prop_assert_eq!(
-                    &serial, &threaded,
-                    "plan={} threads={}: flight artifacts diverged",
-                    plan.is_some(), threads
-                );
-            }
-        }
-    }
-
-    /// The heat map inherits the same determinism, even under the
-    /// history-dependent adaptive engines: its exported `gms-heat/v1`
-    /// document is byte-identical at every thread count, with and
-    /// without a fault plan, because the map is a pure fold over the
-    /// canonically ordered event stream the scheduler commits.
-    #[test]
-    fn thread_count_never_changes_heat_json(plan in arb_plan()) {
-        let apps = [apps::gdb().scaled(0.03), apps::ld().scaled(0.03)];
-        for policy in [
-            FetchPolicy::leap(SubpageSize::S1K),
-            FetchPolicy::indigo(SubpageSize::S1K),
-        ] {
-            for plan in [None, Some(plan.clone())] {
-                let run = |threads: u32| {
-                    let builder = SimConfig::builder()
-                        .policy(policy)
-                        .memory(MemoryConfig::Quarter)
-                        .cluster_nodes(5)
-                        .threads(threads);
-                    let cfg = match &plan {
-                        Some(plan) => builder.fault_plan(plan.clone()).build(),
-                        None => builder.build(),
-                    };
-                    let mut heat = HeatMap::new()
-                        .with_region_pages(16)
-                        .with_wire_tracking();
-                    let report = ClusterSim::new(cfg).run_recorded(&apps, &mut heat);
-                    (report, heat_json(&heat))
-                };
-                let serial = run(1);
-                for threads in [2, 8] {
-                    let threaded = run(threads);
-                    prop_assert_eq!(
-                        &serial, &threaded,
-                        "{} plan={} threads={}: heat document diverged",
-                        policy.label(), plan.is_some(), threads
-                    );
-                }
-            }
-        }
-    }
-
     /// The adaptive engines survive the same chaos the static policies
     /// do: under an arbitrary plan, `leap` and `indigo` cells terminate,
     /// conserve their buckets, keep attribution telescoping, keep the
@@ -351,10 +204,7 @@ proptest! {
     /// loses *nothing* — `pages_lost_to_crash` stays zero and the run
     /// falls back to disk exactly as often as the crash-free run, every
     /// fetch of a dead primary's page failing over to its surviving
-    /// standby instead. The crashed run's report, summary JSON and
-    /// Perfetto trace are also byte-identical across thread counts:
-    /// repair traffic is pumped in the canonical commit order, so it
-    /// inherits the scheduler's determinism.
+    /// standby instead.
     #[test]
     fn two_replicas_survive_any_single_crash(
         crash_ns in 0u64..40_000_000,
@@ -375,7 +225,7 @@ proptest! {
             });
         }
         let plan = FaultPlan { crashes, ..FaultPlan::default() };
-        let run = |threads: u32, plan: Option<FaultPlan>| {
+        let run = |plan: Option<FaultPlan>| {
             let builder = SimConfig::builder()
                 .policy(FetchPolicy::eager(SubpageSize::S1K))
                 .memory(MemoryConfig::Quarter)
@@ -383,25 +233,20 @@ proptest! {
                 .replication(ReplicationConfig {
                     replicas: 2,
                     ..ReplicationConfig::default()
-                })
-                .threads(threads);
+                });
             let cfg = match plan {
                 Some(plan) => builder.fault_plan(plan).build(),
                 None => builder.build(),
             };
-            let mut rec = MemoryRecorder::new();
-            let report = ClusterSim::new(cfg).run_recorded(&apps, &mut rec);
-            let summary = gms_core::cluster_summary_json(&report);
-            let trace = gms_obs::perfetto_trace(rec.iter());
-            (report, summary, trace)
+            ClusterSim::new(cfg).run(&apps)
         };
-        let (crashed, summary, trace) = run(1, Some(plan.clone()));
+        let crashed = run(Some(plan));
         for node in &crashed.nodes {
             node.assert_conserved();
         }
         let gms = &crashed.nodes[0].gms;
         prop_assert_eq!(gms.pages_lost_to_crash, 0, "K=2 must survive one crash");
-        let (clean, _, _) = run(1, None);
+        let clean = run(None);
         let fell_back = |r: &gms_core::ClusterReport| {
             r.nodes.iter().map(|n| n.fell_back_to_disk).sum::<u64>()
         };
@@ -414,16 +259,14 @@ proptest! {
             "a crash must not add disk fallbacks at K=2"
         );
         prop_assert_eq!(disk_faults(&crashed), disk_faults(&clean));
-        for threads in [2, 8] {
-            let (r, s, t) = run(threads, Some(plan.clone()));
-            prop_assert_eq!(&crashed, &r, "threads={}: report diverged", threads);
-            prop_assert_eq!(&summary, &s, "threads={}: summary diverged", threads);
-            prop_assert_eq!(&trace, &t, "threads={}: trace diverged", threads);
-        }
     }
 
     /// The same non-empty plan replayed twice gives byte-identical
-    /// reports: fault injection is deterministic, not merely bounded.
+    /// results: fault injection is deterministic, not merely bounded.
+    /// On a recorded 2-active cluster that covers every artifact —
+    /// summary JSON, Perfetto trace, flight exemplars and SLO tallies,
+    /// heat JSON — for a static and a history-dependent policy, and
+    /// every recorded report equals the unrecorded one.
     #[test]
     fn chaos_runs_are_reproducible(plan in arb_plan()) {
         let app = apps::gdb().scaled(0.05);
@@ -436,6 +279,60 @@ proptest! {
             .run(&app)
         };
         prop_assert_eq!(run(), run());
+
+        let apps = [apps::gdb().scaled(0.03), apps::ld().scaled(0.03)];
+        for policy in [
+            FetchPolicy::pipelined(SubpageSize::S1K),
+            FetchPolicy::leap(SubpageSize::S1K),
+        ] {
+            let sim = ClusterSim::new(
+                SimConfig::builder()
+                    .policy(policy)
+                    .memory(MemoryConfig::Quarter)
+                    .cluster_nodes(5)
+                    .fault_plan(plan.clone())
+                    .build(),
+            );
+            let unrecorded = sim.run(&apps);
+            let recorded = || {
+                let mut rec = MemoryRecorder::new();
+                let traced = sim.run_recorded(&apps, &mut rec);
+                let mut flight = FlightRecorder::new(4)
+                    .with_window(Duration::from_millis(50))
+                    .with_slo(Duration::from_micros(200));
+                let flown = sim.run_recorded(&apps, &mut flight);
+                flight.seal();
+                let mut heat = HeatMap::new().with_region_pages(16).with_wire_tracking();
+                let heated = sim.run_recorded(&apps, &mut heat);
+                let exemplars: Vec<_> = flight
+                    .exemplars()
+                    .iter()
+                    .map(|e| (e.node, e.page, e.subpage, e.window, e.wait, e.events.len()))
+                    .collect();
+                let tallies: Vec<_> = flight
+                    .windows()
+                    .map(|(node, ws)| (node, ws.to_vec()))
+                    .collect();
+                let artifacts = (
+                    gms_core::cluster_summary_json(&traced),
+                    gms_obs::perfetto_trace(rec.iter()),
+                    exemplars,
+                    flight.exemplar_events(),
+                    tallies,
+                    heat_json(&heat),
+                );
+                ([traced, flown, heated], artifacts)
+            };
+            let (reports, artifacts) = recorded();
+            for report in &reports {
+                prop_assert_eq!(
+                    report, &unrecorded,
+                    "{}: recording changed the report", policy.label()
+                );
+            }
+            let (_, again) = recorded();
+            prop_assert_eq!(&artifacts, &again, "{}: replayed plan diverged", policy.label());
+        }
     }
 }
 

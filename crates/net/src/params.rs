@@ -133,23 +133,6 @@ impl NetParams {
         Duration::from_nanos((bytes.get() as f64 * self.copy_ns_per_byte).round() as u64)
     }
 
-    /// The conservative lookahead window of the parallel cluster
-    /// scheduler: the minimum latency of any cross-node exchange, which
-    /// is the transit of the smallest message the protocol ever sends
-    /// (a getpage request). No node can observe another node's action
-    /// in less simulated time than this, so a parallel scheduler may
-    /// let a node run `lookahead()` ahead of its last published clock
-    /// before re-publishing its progress to its peers.
-    ///
-    /// Correctness of the conservative scheduler does not depend on
-    /// this value — commits are exactly ordered regardless — it only
-    /// sets how often advancing nodes publish clock bounds, trading
-    /// coordination overhead against grant latency. Always non-zero.
-    #[must_use]
-    pub fn lookahead(&self) -> Duration {
-        self.request_transit.max(Duration::from_nanos(1))
-    }
-
     /// How long a requester waits for the first message of a getpage
     /// before declaring the request (or its reply) lost: the fixed
     /// request cost plus the per-byte cost of delivering `bytes`
@@ -191,17 +174,6 @@ mod tests {
         let p = NetParams::paper();
         let slope = 2.0 * p.dma_ns_per_byte + p.wire.nanos_per_payload_byte() + p.copy_ns_per_byte;
         assert!((125.0..145.0).contains(&slope), "got {slope} ns/B");
-    }
-
-    #[test]
-    fn lookahead_is_the_min_cross_node_latency() {
-        let p = NetParams::paper();
-        assert_eq!(p.lookahead(), p.request_transit);
-        assert!(p.lookahead() < p.fixed_request_cost());
-        // Degenerate parameters still yield a positive window.
-        let mut zero = p;
-        zero.request_transit = Duration::ZERO;
-        assert!(zero.lookahead() > Duration::ZERO);
     }
 
     #[test]

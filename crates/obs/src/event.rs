@@ -372,10 +372,7 @@ pub enum Event {
 
 impl Event {
     /// The instant the event takes effect — for span events (`Stall`,
-    /// `Occupancy`) the span start. This is the timestamp key
-    /// [`MemoryRecorder::merge`] orders by when combining arenas.
-    ///
-    /// [`MemoryRecorder::merge`]: crate::MemoryRecorder::merge
+    /// `Occupancy`) the span start.
     #[must_use]
     pub fn at(&self) -> SimTime {
         match *self {

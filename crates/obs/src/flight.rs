@@ -17,8 +17,8 @@
 //!   run). A candidate replaces the current minimum only when its wait
 //!   is *strictly* greater, and ties keep the incumbent, so the
 //!   retained set is a pure function of the event stream — the cluster
-//!   scheduler feeds recorders in canonical commit order at every
-//!   thread count, making exemplar sets thread-count-invariant.
+//!   feeds recorders in canonical commit order, making exemplar sets
+//!   reproducible.
 //! * Follow-on `Arrival` and `Stall` events attach to the retained
 //!   chain of the last fault on their `(node, page)` — mirroring how
 //!   [`attribute`](crate::attribute) targets stalls — so

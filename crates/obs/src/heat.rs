@@ -24,10 +24,10 @@
 //!   [`Event::page`]).
 //!
 //! Determinism follows the flight recorder's argument: the cluster
-//! scheduler feeds recorders in canonical commit order at every thread
-//! count, and a `HeatMap` is a pure fold over that stream, so the
-//! exported [`heat_json`] document is byte-identical however the run
-//! was scheduled (property-tested in the core chaos suite).
+//! feeds recorders in canonical commit order, and a `HeatMap` is a pure
+//! fold over that stream, so the exported [`heat_json`] document is
+//! byte-identical from run to run (property-tested in the core chaos
+//! suite).
 //! [`HeatMap::merge`] is additionally commutative and associative with
 //! the empty map as identity — counters add, masks union, sketches
 //! merge exactly — so per-cell partials (e.g. a sweep's) roll up
@@ -623,8 +623,8 @@ impl Recorder for HeatMap {
 ///
 /// Deterministic: regions are emitted in `(node, region)` order and
 /// nodes in node order, so the string is a pure function of the
-/// accumulated state (and therefore byte-identical across thread
-/// counts — the scheduler feeds recorders in canonical order).
+/// accumulated state (and therefore byte-identical from run to run —
+/// the cluster feeds recorders in canonical order).
 #[must_use]
 pub fn heat_json(heat: &HeatMap) -> String {
     let totals = heat.totals();

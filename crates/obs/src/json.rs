@@ -66,11 +66,13 @@ impl std::error::Error for JsonError {}
 
 impl JsonValue {
     /// Parse a complete JSON document. Trailing whitespace is allowed;
-    /// trailing garbage is an error.
+    /// trailing garbage, nesting deeper than 256 levels and numbers
+    /// that overflow `f64` are errors.
     pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -139,9 +141,17 @@ impl JsonValue {
     }
 }
 
+/// The deepest array/object nesting [`JsonValue::parse`] accepts. The
+/// parser recurses once per level, so the cap keeps hostile input from
+/// overflowing the stack; every artifact this workspace writes nests
+/// only a handful of levels.
+const MAX_DEPTH: usize = 256;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -190,12 +200,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => self.string().map(JsonValue::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one container one level deeper, refusing past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<JsonValue, JsonError> {
@@ -314,12 +338,17 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| JsonError {
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(JsonValue::Number(n)),
+            Ok(_) => Err(JsonError {
+                offset: start,
+                message: format!("number '{text}' is out of range"),
+            }),
+            Err(_) => Err(JsonError {
                 offset: start,
                 message: format!("invalid number '{text}'"),
-            })
+            }),
+        }
     }
 }
 
@@ -363,6 +392,25 @@ mod tests {
         assert!(JsonValue::parse("{\"a\":1} x").is_err());
         assert!(JsonValue::parse("nul").is_err());
         assert!(JsonValue::parse("\"open").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&nested(MAX_DEPTH)).is_ok());
+        let e = JsonValue::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.message.contains("nesting"), "{e}");
+        assert!(JsonValue::parse(&"[".repeat(200_000)).is_err());
+        assert!(JsonValue::parse(&"{\"a\":".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected() {
+        for text in ["1e400", "-1e400", "{\"ts\":1e400}"] {
+            let e = JsonValue::parse(text).unwrap_err();
+            assert!(e.message.contains("out of range"), "{text}: {e}");
+        }
+        assert_eq!(JsonValue::parse("1e300").unwrap().as_f64(), Some(1e300));
     }
 
     #[test]

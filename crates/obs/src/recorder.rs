@@ -148,33 +148,6 @@ impl MemoryRecorder {
         }
         self.used += 1;
     }
-
-    /// Deterministically merges several recorder arenas — e.g. one per
-    /// worker shard of an offline analysis — into a single stream
-    /// ordered by `(timestamp, arena index, within-arena position)`.
-    ///
-    /// The order is total and independent of how work was scheduled
-    /// across the arenas, so two merges of the same logical recording
-    /// are byte-identical however it was sharded. Merging one arena is
-    /// the identity: events at equal timestamps keep their emission
-    /// order. (The cluster engine itself never needs this — its
-    /// conservative scheduler serializes all recording into one arena
-    /// in canonical commit order whatever the thread count.)
-    #[must_use]
-    pub fn merge(parts: impl IntoIterator<Item = MemoryRecorder>) -> MemoryRecorder {
-        let mut events: Vec<Event> = Vec::new();
-        for part in parts {
-            events.extend(part.into_events());
-        }
-        // Arena-major concatenation plus a stable sort on the timestamp
-        // alone realizes the full three-part key.
-        events.sort_by_key(Event::at);
-        let mut merged = MemoryRecorder::new();
-        for event in events {
-            merged.record(event);
-        }
-        merged
-    }
 }
 
 impl Recorder for MemoryRecorder {
@@ -385,54 +358,6 @@ mod tests {
         rec.record_batch(std::iter::empty());
         assert!(rec.is_empty());
         assert_eq!(rec.len(), 0);
-    }
-
-    fn restart_at(page: u64, nanos: u64) -> Event {
-        Event::Restart {
-            node: NodeId::new(0),
-            page,
-            at: SimTime::from_nanos(nanos),
-            wait: gms_units::Duration::ZERO,
-        }
-    }
-
-    #[test]
-    fn merge_orders_by_timestamp_then_arena() {
-        let mut a = MemoryRecorder::new();
-        a.record(restart_at(0, 10));
-        a.record(restart_at(1, 30));
-        a.record(restart_at(2, 30));
-        let mut b = MemoryRecorder::new();
-        b.record(restart_at(3, 20));
-        b.record(restart_at(4, 30));
-        let merged = MemoryRecorder::merge([a, b]);
-        let pages: Vec<u64> = merged
-            .iter()
-            .map(|e| match e {
-                Event::Restart { page, .. } => *page,
-                other => panic!("unexpected event {other:?}"),
-            })
-            .collect();
-        // 10 < 20 < 30; at 30 arena order (a before b) then emission
-        // order within a.
-        assert_eq!(pages, [0, 3, 1, 2, 4]);
-    }
-
-    #[test]
-    fn merge_of_one_arena_is_the_identity() {
-        let mut rec = MemoryRecorder::new();
-        for i in 0..(CHUNK + 9) {
-            // Equal timestamps: only stability preserves this order.
-            rec.record(restart_at(i as u64, 5));
-        }
-        let before = rec.clone().into_events();
-        let merged = MemoryRecorder::merge([rec]);
-        assert_eq!(merged.into_events(), before);
-    }
-
-    #[test]
-    fn merge_of_nothing_is_empty() {
-        assert!(MemoryRecorder::merge([]).is_empty());
     }
 
     #[test]

@@ -339,8 +339,8 @@ mod tests {
         }
 
         /// Merge is exactly commutative and associative, and any merge
-        /// grouping equals direct recording — the determinism the
-        /// scheduler relies on when rolling per-thread partials up.
+        /// grouping equals direct recording — the determinism callers
+        /// rely on when rolling per-node or per-cell partials up.
         #[test]
         fn merge_commutative_and_associative(
             xs in prop::collection::vec(0u64..u64::MAX / 4, 0..100),
