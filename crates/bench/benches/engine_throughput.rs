@@ -42,15 +42,6 @@ impl Sample {
     }
 }
 
-/// Tracing overhead measured with the previous recorder design: a
-/// single flat `Vec` (grow-and-memcpy of the whole event history) of
-/// events whose `Arrivals` variant carried nested per-message subpage
-/// `Vec`s — thousands of live side allocations per run. The chunked
-/// arena plus the allocation-free `Copy` event taxonomy removed both.
-/// Kept in the JSON next to the live `overhead_pct` so the
-/// before/after stays diffable.
-const FLAT_VEC_OVERHEAD_PCT: f64 = 79.3;
-
 /// Timed rounds per variant. Every variant runs once per round, in a
 /// fixed rotation, so slow drift (frequency scaling, noisy CI
 /// neighbours) hits all variants equally instead of whichever cell
@@ -416,7 +407,7 @@ fn main() {
 
     println!(
         "tracing overhead (sp_1024, MemoryRecorder): {:.2} ms/run vs {:.2} ms untraced \
-         ({:+.1}%, {} events/run; flat-Vec recorder measured +{FLAT_VEC_OVERHEAD_PCT}%)",
+         ({:+.1}%, {} events/run)",
         traced_secs * 1e3,
         untraced.secs * 1e3,
         tracing_overhead * 100.0,
@@ -528,9 +519,6 @@ fn main() {
     json.push_str(&format!(
         "    \"overhead_pct\": {:.1},\n",
         tracing_overhead * 100.0
-    ));
-    json.push_str(&format!(
-        "    \"flat_vec_overhead_pct\": {FLAT_VEC_OVERHEAD_PCT},\n"
     ));
     json.push_str(&format!("    \"events_per_run\": {events_per_run}\n"));
     json.push_str("  },\n");

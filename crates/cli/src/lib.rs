@@ -1,15 +1,11 @@
-//! Command-line driver for the `gms-subpages` simulator.
+//! Command-line driver for the `gms-subpages` simulator: `apps`, `run`,
+//! `cluster`, `sweep`, `profile`, `explain`, `heat`, `diff-trace`,
+//! `diff-bench`, `check-trace` and `latency` (see [`USAGE`]).
 //!
-//! ```text
-//! gms-sim apps
-//! gms-sim run --app modula3 --policy sp_1024 --memory half [--scale 0.1]
-//!             [--net atm|ethernet|fast4|fast16] [--replacement lru|fifo|clock|random2]
-//!             [--pal]
-//! gms-sim sweep --app gdb [--scale 1.0] [--jobs 4]
-//! gms-sim cluster --nodes 7 --active 4 --app modula3 [--policy sp_1024]
-//!                 [--memory half] [--scale 0.1] [--net atm]
-//! gms-sim latency [--subpage 1024]
-//! ```
+//! The five simulating commands — `run`, `cluster`, `profile`,
+//! `explain` and `heat` — parse one `Scenario` from the shared scenario
+//! flags and run it through one path, serial or cluster, with the
+//! command's analyzers composed into a single live recorder.
 //!
 //! The parsing and command logic live in this library so they can be
 //! unit-tested; `main` is a thin wrapper.
@@ -33,7 +29,7 @@ use gms_net::{AccessPattern, NetParams, RecvOverhead, Timeline, TransferPlan};
 use gms_obs::{
     attribute, attribution_json, escape_json, heat_json, heat_perfetto, metrics_json,
     perfetto_trace, prefetch_stats, AttributionReport, ComponentRow, Exemplar, FaultAttribution,
-    FlightRecorder, HeatMap, JsonValue, MemoryRecorder, QuantileSketch, Recorder as _,
+    FlightRecorder, HeatMap, JsonValue, MemoryRecorder, NoopRecorder, QuantileSketch, Recorder,
     ResourceKind, TimeSeriesRecorder, ATTRIB_SCHEMA, HEAT_SCHEMA, METRICS_SCHEMA,
 };
 use gms_trace::apps::{self, AppProfile};
@@ -61,51 +57,43 @@ gms-sim — the gms-subpages simulator
 
 USAGE:
   gms-sim apps
-  gms-sim run --app <name> --policy <label> [--memory full|half|quarter|<frames>]
-              [--scale <f>] [--net atm|ethernet|fast4|fast16]
-              [--replacement lru|fifo|clock|random2] [--pal]
-              [--max-fetch-attempts <n>] [--max-putpage-attempts <n>]
-              [--backoff-divisor <n>] [--backoff-cap <n>]
-              [--fault-plan <spec>] [--slo <dur>]
-              [--trace-out <path>] [--summary-json <path>]
-              [--metrics-out <path>] [--prom-out <path>] [--metrics-window <dur>]
-              [--heat-out <path> [--regions <pages>]]
-  gms-sim sweep --app <name> [--scale <f>] [--jobs <n>] [--trace-dir <dir>]
-                [--policies <label>,<label>,...]
-              [--fault-plan <spec>]
-              [--heat-out <path> [--regions <pages>]]
+  gms-sim run --app <name> --policy <label> [SCENARIO FLAGS] [EXPORT FLAGS]
   gms-sim cluster --nodes <k> --active <a> [--app <name>] [--policy <label>]
-              [--memory full|half|quarter|<frames>] [--scale <f>]
-              [--net atm|ethernet|fast4|fast16]
-              [--replacement lru|fifo|clock|random2]
-              [--replicas <k>] [--repair-rate <bytes/s>]
-              [--max-fetch-attempts <n>] [--max-putpage-attempts <n>]
-              [--backoff-divisor <n>] [--backoff-cap <n>]
-              [--fault-plan <spec>] [--slo <dur>]
-              [--trace-out <path>] [--summary-json <path>]
-              [--metrics-out <path>] [--prom-out <path>] [--metrics-window <dur>]
+              [SCENARIO FLAGS] [EXPORT FLAGS]
+  gms-sim sweep --app <name> [--scale <f>] [--jobs <n>] [--trace-dir <dir>]
+              [--policies <label>,<label>,...] [--fault-plan <spec>]
               [--heat-out <path> [--regions <pages>]]
-  gms-sim profile --app <name> --policy <label> [--by resource|class|node]
-              [--memory full|half|quarter|<frames>] [--scale <f>]
-              [--net ...] [--replacement ...] [--pal] [--fault-plan <spec>]
-              [--nodes <k> --active <a>] [--json <path>]
-  gms-sim explain --app <name> --policy <label> [--worst <k>] [--slo <dur>]
-              [--window <dur>] [--memory full|half|quarter|<frames>] [--scale <f>]
-              [--net ...] [--replacement ...] [--pal] [--fault-plan <spec>]
-              [--nodes <k> --active <a>]
+  gms-sim profile --app <name> --policy <label> [--nodes <k> --active <a>]
+              [SCENARIO FLAGS] [--by resource|class|node] [--json <path>]
+  gms-sim explain --app <name> --policy <label> [--nodes <k> --active <a>]
+              [SCENARIO FLAGS] [--worst <k>] [--slo <dur>] [--window <dur>]
               [--json <path>] [--trace-out <path>]
-  gms-sim heat --app <name> --policy <label> [--by region|page|node]
-              [--regions <pages>] [--top <n>]
-              [--memory full|half|quarter|<frames>] [--scale <f>]
-              [--net ...] [--replacement ...] [--pal] [--fault-plan <spec>]
-              [--nodes <k> --active <a>]
-              [--json <path>] [--perfetto-out <path>]
+  gms-sim heat --app <name> --policy <label> [--nodes <k> --active <a>]
+              [SCENARIO FLAGS] [--by region|page|node] [--regions <pages>]
+              [--top <n>] [--json <path>] [--perfetto-out <path>]
   gms-sim diff-trace <a.summary.json> <b.summary.json> [--tolerance <pct>] [--full]
   gms-sim diff-bench <a.json> <b.json> [--tolerance <pct>]
   gms-sim check-trace [--trace <path>] [--summary <path>]
               [--metrics <path>] [--attrib <path>] [--exemplars <path>]
               [--heat <path>]
   gms-sim latency [--subpage <bytes>]
+
+SCENARIO FLAGS (the same on run, cluster, profile, explain and heat):
+  [--memory full|half|quarter|<frames>] [--scale <f>]
+  [--net atm|ethernet|fast4|fast16] [--replacement lru|fifo|clock|random2]
+  [--pal] [--fault-plan <spec>]
+  [--max-fetch-attempts <n>] [--max-putpage-attempts <n>]
+  [--backoff-divisor <n>] [--backoff-cap <n>]
+  [--replicas <k>] [--repair-rate <bytes/s>]   (cluster runs only)
+
+EXPORT FLAGS (run and cluster):
+  [--slo <dur>] [--trace-out <path>] [--summary-json <path>]
+  [--metrics-out <path>] [--prom-out <path>] [--metrics-window <dur>]
+  [--heat-out <path> [--regions <pages>]]
+
+A cluster run is `cluster`, or profile/explain/heat given --nodes and
+--active. --app and --policy are required except on `cluster`, which
+defaults to gdb and sp_1024.
 
 Sweeps fan the grid's cells over `--jobs` worker threads (default: all
 available cores); the reports are identical to a serial run.
@@ -467,65 +455,20 @@ pub fn execute(argv: &[String]) -> Result<String, CliError> {
             args.finish()?;
             Ok(list_apps())
         }
-        "run" => {
-            let app = parse_app(
-                &args
-                    .take_value("--app")
-                    .ok_or_else(|| err("--app is required"))?,
-            )?;
-            let policy = parse_policy(
-                &args
-                    .take_value("--policy")
-                    .ok_or_else(|| err("--policy is required"))?,
-            )?;
-            let memory = match args.take_value("--memory") {
-                Some(m) => parse_memory(&m)?,
-                None => MemoryConfig::Half,
+        "run" | "cluster" => {
+            let topology = if command == "run" {
+                Topology::Serial
+            } else {
+                Topology::Required
             };
-            let scale = parse_scale(&mut args)?;
-            let net = match args.take_value("--net") {
-                Some(n) => parse_net(&n)?,
-                None => NetParams::paper(),
-            };
-            let replacement = match args.take_value("--replacement") {
-                Some(r) => parse_replacement(&r)?,
-                None => ReplacementKind::Lru,
-            };
-            let pal = args.take_flag("--pal");
-            let retry = parse_retry(&mut args)?;
-            let fault_plan = args.take_value("--fault-plan");
-            let slo = match args.take_value("--slo") {
-                Some(s) => Some(parse_duration(&s)?),
-                None => None,
-            };
-            let trace_out = args.take_value("--trace-out").map(PathBuf::from);
-            let summary_json = args.take_value("--summary-json").map(PathBuf::from);
-            let metrics = MetricsOpts::parse(&mut args)?;
-            let heat = HeatOpts::parse(&mut args)?;
+            let scenario = Scenario::parse(&mut args, topology)?;
+            let exports = Exports::parse(&mut args)?;
             args.finish()?;
-            run_command(
-                &app.scaled(scale),
-                policy,
-                memory,
-                net,
-                replacement,
-                pal,
-                retry,
-                fault_plan.as_deref(),
-                slo,
-                trace_out.as_deref(),
-                summary_json.as_deref(),
-                &metrics,
-                &heat,
-            )
+            run_command(&scenario, &exports)
         }
         "sweep" => {
-            let app = parse_app(
-                &args
-                    .take_value("--app")
-                    .ok_or_else(|| err("--app is required"))?,
-            )?;
-            let scale = parse_scale(&mut args)?;
+            let app = parse_app(&required(&mut args, "--app")?)?;
+            let app = parse_scaled_app(&mut args, app)?;
             let jobs = match args.take_value("--jobs") {
                 Some(j) => {
                     let n: usize = j.parse().map_err(|_| err("bad --jobs"))?;
@@ -549,7 +492,7 @@ pub fn execute(argv: &[String]) -> Result<String, CliError> {
             let heat = HeatOpts::parse(&mut args)?;
             args.finish()?;
             sweep_command(
-                &app.scaled(scale),
+                &app,
                 jobs,
                 fault_plan.as_deref(),
                 trace_dir,
@@ -557,102 +500,8 @@ pub fn execute(argv: &[String]) -> Result<String, CliError> {
                 &heat,
             )
         }
-        "cluster" => {
-            let nodes: u32 = args
-                .take_value("--nodes")
-                .ok_or_else(|| err("--nodes is required"))?
-                .parse()
-                .map_err(|_| err("bad --nodes"))?;
-            let active: u32 = args
-                .take_value("--active")
-                .ok_or_else(|| err("--active is required"))?
-                .parse()
-                .map_err(|_| err("bad --active"))?;
-            if active == 0 {
-                return Err(err("--active must be at least 1"));
-            }
-            if active >= nodes {
-                return Err(err(format!(
-                    "--active {active} leaves no idle memory server in a \
-                     {nodes}-node cluster (need --active < --nodes)"
-                )));
-            }
-            let app = match args.take_value("--app") {
-                Some(a) => parse_app(&a)?,
-                None => apps::gdb(),
-            };
-            let policy = match args.take_value("--policy") {
-                Some(p) => parse_policy(&p)?,
-                None => FetchPolicy::eager(SubpageSize::S1K),
-            };
-            let memory = match args.take_value("--memory") {
-                Some(m) => parse_memory(&m)?,
-                None => MemoryConfig::Half,
-            };
-            let scale = parse_scale(&mut args)?;
-            let net = match args.take_value("--net") {
-                Some(n) => parse_net(&n)?,
-                None => NetParams::paper(),
-            };
-            let replacement = match args.take_value("--replacement") {
-                Some(r) => parse_replacement(&r)?,
-                None => ReplacementKind::Lru,
-            };
-            let retry = parse_retry(&mut args)?;
-            let replication = parse_replication(&mut args, nodes, active)?;
-            let fault_plan = args.take_value("--fault-plan");
-            let slo = match args.take_value("--slo") {
-                Some(s) => Some(parse_duration(&s)?),
-                None => None,
-            };
-            let trace_out = args.take_value("--trace-out").map(PathBuf::from);
-            let summary_json = args.take_value("--summary-json").map(PathBuf::from);
-            let metrics = MetricsOpts::parse(&mut args)?;
-            let heat = HeatOpts::parse(&mut args)?;
-            args.finish()?;
-            cluster_command(
-                &app.scaled(scale),
-                nodes,
-                active,
-                policy,
-                memory,
-                net,
-                replacement,
-                retry,
-                replication,
-                fault_plan.as_deref(),
-                slo,
-                trace_out.as_deref(),
-                summary_json.as_deref(),
-                &metrics,
-                &heat,
-            )
-        }
         "profile" => {
-            let app = parse_app(
-                &args
-                    .take_value("--app")
-                    .ok_or_else(|| err("--app is required"))?,
-            )?;
-            let policy = parse_policy(
-                &args
-                    .take_value("--policy")
-                    .ok_or_else(|| err("--policy is required"))?,
-            )?;
-            let memory = match args.take_value("--memory") {
-                Some(m) => parse_memory(&m)?,
-                None => MemoryConfig::Half,
-            };
-            let scale = parse_scale(&mut args)?;
-            let net = match args.take_value("--net") {
-                Some(n) => parse_net(&n)?,
-                None => NetParams::paper(),
-            };
-            let replacement = match args.take_value("--replacement") {
-                Some(r) => parse_replacement(&r)?,
-                None => ReplacementKind::Lru,
-            };
-            let pal = args.take_flag("--pal");
+            let scenario = Scenario::parse(&mut args, Topology::Optional)?;
             let by = args
                 .take_value("--by")
                 .unwrap_or_else(|| "resource".to_owned());
@@ -661,48 +510,12 @@ pub fn execute(argv: &[String]) -> Result<String, CliError> {
                     "bad --by '{by}' (expected resource, class or node)"
                 )));
             }
-            let cluster = parse_node_pair(&mut args)?;
-            let fault_plan = args.take_value("--fault-plan");
             let json_out = args.take_value("--json").map(PathBuf::from);
             args.finish()?;
-            profile_command(
-                &app.scaled(scale),
-                policy,
-                memory,
-                net,
-                replacement,
-                pal,
-                cluster,
-                &by,
-                fault_plan.as_deref(),
-                json_out.as_deref(),
-            )
+            profile_command(&scenario, &by, json_out.as_deref())
         }
         "explain" => {
-            let app = parse_app(
-                &args
-                    .take_value("--app")
-                    .ok_or_else(|| err("--app is required"))?,
-            )?;
-            let policy = parse_policy(
-                &args
-                    .take_value("--policy")
-                    .ok_or_else(|| err("--policy is required"))?,
-            )?;
-            let memory = match args.take_value("--memory") {
-                Some(m) => parse_memory(&m)?,
-                None => MemoryConfig::Half,
-            };
-            let scale = parse_scale(&mut args)?;
-            let net = match args.take_value("--net") {
-                Some(n) => parse_net(&n)?,
-                None => NetParams::paper(),
-            };
-            let replacement = match args.take_value("--replacement") {
-                Some(r) => parse_replacement(&r)?,
-                None => ReplacementKind::Lru,
-            };
-            let pal = args.take_flag("--pal");
+            let scenario = Scenario::parse(&mut args, Topology::Optional)?;
             let worst: usize = match args.take_value("--worst") {
                 Some(k) => {
                     let n: usize = k.parse().map_err(|_| err("bad --worst"))?;
@@ -721,52 +534,20 @@ pub fn execute(argv: &[String]) -> Result<String, CliError> {
                 Some(s) => parse_duration(&s)?,
                 None => Duration::from_millis(1),
             };
-            let cluster = parse_node_pair(&mut args)?;
-            let fault_plan = args.take_value("--fault-plan");
             let json_out = args.take_value("--json").map(PathBuf::from);
             let trace_out = args.take_value("--trace-out").map(PathBuf::from);
             args.finish()?;
             explain_command(
-                &app.scaled(scale),
-                policy,
-                memory,
-                net,
-                replacement,
-                pal,
-                cluster,
+                &scenario,
                 worst,
                 window,
                 slo,
-                fault_plan.as_deref(),
                 json_out.as_deref(),
                 trace_out.as_deref(),
             )
         }
         "heat" => {
-            let app = parse_app(
-                &args
-                    .take_value("--app")
-                    .ok_or_else(|| err("--app is required"))?,
-            )?;
-            let policy = parse_policy(
-                &args
-                    .take_value("--policy")
-                    .ok_or_else(|| err("--policy is required"))?,
-            )?;
-            let memory = match args.take_value("--memory") {
-                Some(m) => parse_memory(&m)?,
-                None => MemoryConfig::Half,
-            };
-            let scale = parse_scale(&mut args)?;
-            let net = match args.take_value("--net") {
-                Some(n) => parse_net(&n)?,
-                None => NetParams::paper(),
-            };
-            let replacement = match args.take_value("--replacement") {
-                Some(r) => parse_replacement(&r)?,
-                None => ReplacementKind::Lru,
-            };
-            let pal = args.take_flag("--pal");
+            let scenario = Scenario::parse(&mut args, Topology::Optional)?;
             let by = args
                 .take_value("--by")
                 .unwrap_or_else(|| "region".to_owned());
@@ -786,23 +567,14 @@ pub fn execute(argv: &[String]) -> Result<String, CliError> {
                 }
                 None => 10,
             };
-            let cluster = parse_node_pair(&mut args)?;
-            let fault_plan = args.take_value("--fault-plan");
             let json_out = args.take_value("--json").map(PathBuf::from);
             let perfetto_out = args.take_value("--perfetto-out").map(PathBuf::from);
             args.finish()?;
             heat_command(
-                &app.scaled(scale),
-                policy,
-                memory,
-                net,
-                replacement,
-                pal,
-                cluster,
+                &scenario,
                 &by,
                 region_pages,
                 top,
-                fault_plan.as_deref(),
                 json_out.as_deref(),
                 perfetto_out.as_deref(),
             )
@@ -910,21 +682,45 @@ fn write_file(path: &Path, content: &str) -> Result<(), CliError> {
     std::fs::write(path, content).map_err(|e| err(format!("cannot write {}: {e}", path.display())))
 }
 
-/// Parses `--scale` (default 1.0): a finite factor above zero.
-fn parse_scale(args: &mut Args) -> Result<f64, CliError> {
-    let Some(text) = args.take_value("--scale") else {
-        return Ok(1.0);
-    };
-    match text.parse::<f64>() {
-        Ok(scale) if scale.is_finite() && scale > 0.0 => Ok(scale),
-        _ => Err(err(format!(
-            "bad --scale '{text}' (need a finite factor above 0)"
-        ))),
-    }
+/// Takes a flag every caller must give.
+fn required(args: &mut Args, key: &str) -> Result<String, CliError> {
+    args.take_value(key)
+        .ok_or_else(|| err(format!("{key} is required")))
 }
 
-/// Parses the optional `--nodes <k> --active <a>` pair that switches
-/// profile, explain and heat from a serial run to a cluster run.
+/// Parses `--scale` (default 1.0) and applies it to `app`: a finite
+/// factor above zero that keeps the scaled app inside 64-bit arithmetic.
+fn parse_scaled_app(args: &mut Args, app: AppProfile) -> Result<AppProfile, CliError> {
+    let Some(text) = args.take_value("--scale") else {
+        return Ok(app);
+    };
+    let scale = match text.parse::<f64>() {
+        Ok(scale) if scale.is_finite() && scale > 0.0 => scale,
+        _ => {
+            return Err(err(format!(
+                "bad --scale '{text}' (need a finite factor above 0)"
+            )))
+        }
+    };
+    // References and footprint grow linearly with the factor. The
+    // execution horizon (references x ns/ref) and the footprint in bytes
+    // must stay under 2^63, which leaves headroom for the page rounding
+    // and address arithmetic built on them.
+    let refs = app.paper_refs() as f64 * scale;
+    let horizon_ns = refs * SimConfig::default().ns_per_ref as f64;
+    let bytes = app.footprint().get() as f64 * scale;
+    if horizon_ns >= 2f64.powi(63) || bytes >= 2f64.powi(63) {
+        return Err(err(format!(
+            "--scale {text} is too large: {} would need {refs:.1e} references and \
+             {bytes:.1e} bytes, past 64-bit arithmetic",
+            app.name()
+        )));
+    }
+    Ok(app.scaled(scale))
+}
+
+/// Parses the `--nodes <k> --active <a>` pair that makes a run a
+/// cluster run.
 fn parse_node_pair(args: &mut Args) -> Result<Option<(u32, u32)>, CliError> {
     match (args.take_value("--nodes"), args.take_value("--active")) {
         (None, None) => Ok(None),
@@ -932,7 +728,10 @@ fn parse_node_pair(args: &mut Args) -> Result<Option<(u32, u32)>, CliError> {
             let nodes: u32 = n.parse().map_err(|_| err("bad --nodes"))?;
             let active: u32 = a.parse().map_err(|_| err("bad --active"))?;
             if active == 0 || active >= nodes {
-                return Err(err("need 0 < --active < --nodes"));
+                return Err(err(format!(
+                    "--nodes {nodes} --active {active}: need 0 < --active < --nodes \
+                     (at least one active node and one idle memory server)"
+                )));
             }
             Ok(Some((nodes, active)))
         }
@@ -952,10 +751,10 @@ fn parse_fault_plan(
     FaultPlan::parse(spec, Some(horizon)).map_err(|e| err(format!("bad --fault-plan: {e}")))
 }
 
-/// Extracts the retry knobs shared by `run` and `cluster`. Every flag
-/// defaults to the constant the engine used when the knobs were
-/// hard-coded, and the combination is validated here — a bad value is a
-/// [`CliError`], never a builder panic.
+/// Extracts the retry knobs. Every flag defaults to the constant the
+/// engine used when the knobs were hard-coded, and the combination is
+/// validated here — a bad value is a [`CliError`], never a builder
+/// panic.
 fn parse_retry(args: &mut Args) -> Result<RetryConfig, CliError> {
     let mut retry = RetryConfig::default();
     if let Some(v) = args.take_value("--max-fetch-attempts") {
@@ -976,16 +775,26 @@ fn parse_retry(args: &mut Args) -> Result<RetryConfig, CliError> {
     Ok(retry)
 }
 
-/// Extracts `--replicas` and `--repair-rate` for `cluster`. K copies
-/// need K distinct idle holders, so the replica count is checked
-/// against the topology before it can reach the builder.
+/// Extracts `--replicas` and `--repair-rate`. Replicas live on idle
+/// nodes, so both flags need a cluster topology, and K copies need K
+/// distinct idle holders: the count is checked against the topology
+/// before it can reach the builder.
 fn parse_replication(
     args: &mut Args,
-    nodes: u32,
-    active: u32,
+    topology: Option<(u32, u32)>,
 ) -> Result<ReplicationConfig, CliError> {
+    let replicas = args.take_value("--replicas");
+    let repair_rate = args.take_value("--repair-rate");
     let mut replication = ReplicationConfig::default();
-    if let Some(r) = args.take_value("--replicas") {
+    let Some((nodes, active)) = topology else {
+        if replicas.is_some() || repair_rate.is_some() {
+            return Err(err(
+                "--replicas and --repair-rate need a cluster run (--nodes <k> --active <a>)",
+            ));
+        }
+        return Ok(replication);
+    };
+    if let Some(r) = replicas {
         replication.replicas = r.parse().map_err(|_| err("bad --replicas"))?;
     }
     if replication.replicas == 0 {
@@ -999,7 +808,7 @@ fn parse_replication(
             replication.replicas
         )));
     }
-    if let Some(r) = args.take_value("--repair-rate") {
+    if let Some(r) = repair_rate {
         let rate: u64 = r.parse().map_err(|_| err("bad --repair-rate"))?;
         if rate == 0 {
             return Err(err("--repair-rate must be positive (bytes per second)"));
@@ -1009,22 +818,157 @@ fn parse_replication(
     Ok(replication)
 }
 
+/// Which commands take the `--nodes <k> --active <a>` topology.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Topology {
+    /// `run`: always one serial node; the topology flags are not
+    /// accepted.
+    Serial,
+    /// `profile`, `explain` and `heat`: a serial run unless both flags
+    /// are given.
+    Optional,
+    /// `cluster`: both flags are required, and `--app`/`--policy`
+    /// default to gdb and `sp_1024`.
+    Required,
+}
+
+/// One parsed simulation: the scaled application, its configuration
+/// with the fault plan installed, and the topology of a cluster run.
+/// Every simulating command parses one with [`Scenario::parse`] and
+/// runs it with [`Scenario::run`], so the scenario flags mean the same
+/// thing on all of them.
+struct Scenario {
+    app: AppProfile,
+    config: SimConfig,
+    /// `(nodes, active)` for a cluster run; `None` for a serial run.
+    topology: Option<(u32, u32)>,
+}
+
+/// The report of one [`Scenario::run`].
+enum Outcome {
+    Serial(Box<RunReport>),
+    Cluster(ClusterReport),
+}
+
+impl Outcome {
+    /// The per-node reports: the one node of a serial run, or every
+    /// active node of a cluster run.
+    fn nodes(&self) -> &[RunReport] {
+        match self {
+            Outcome::Serial(report) => std::slice::from_ref(&**report),
+            Outcome::Cluster(report) => &report.nodes,
+        }
+    }
+}
+
+impl Scenario {
+    /// Extracts the scenario flags shared by `run`, `cluster`,
+    /// `profile`, `explain` and `heat`.
+    fn parse(args: &mut Args, mode: Topology) -> Result<Self, CliError> {
+        let topology = match mode {
+            Topology::Serial => None,
+            Topology::Optional => parse_node_pair(args)?,
+            Topology::Required => Some(
+                parse_node_pair(args)?
+                    .ok_or_else(|| err("cluster needs --nodes <k> --active <a>"))?,
+            ),
+        };
+        let (app, policy) = if mode == Topology::Required {
+            let app = match args.take_value("--app") {
+                Some(a) => parse_app(&a)?,
+                None => apps::gdb(),
+            };
+            let policy = match args.take_value("--policy") {
+                Some(p) => parse_policy(&p)?,
+                None => FetchPolicy::eager(SubpageSize::S1K),
+            };
+            (app, policy)
+        } else {
+            let app = parse_app(&required(args, "--app")?)?;
+            (app, parse_policy(&required(args, "--policy")?)?)
+        };
+        let memory = match args.take_value("--memory") {
+            Some(m) => parse_memory(&m)?,
+            None => MemoryConfig::Half,
+        };
+        let app = parse_scaled_app(args, app)?;
+        let net = match args.take_value("--net") {
+            Some(n) => parse_net(&n)?,
+            None => NetParams::paper(),
+        };
+        let replacement = match args.take_value("--replacement") {
+            Some(r) => parse_replacement(&r)?,
+            None => ReplacementKind::Lru,
+        };
+        let access_cost = if args.take_flag("--pal") {
+            AccessCost::PalEmulated
+        } else {
+            AccessCost::TlbSupported
+        };
+        let mut builder = SimConfig::builder()
+            .policy(policy)
+            .memory(memory)
+            .net(net)
+            .replacement(replacement)
+            .access_cost(access_cost)
+            .retry(parse_retry(args)?)
+            .replication(parse_replication(args, topology)?);
+        if let Some((nodes, _)) = topology {
+            builder = builder.cluster_nodes(nodes);
+        }
+        let mut config = builder.build();
+        if let Some(spec) = args.take_value("--fault-plan") {
+            config.fault_plan = Some(parse_fault_plan(&spec, &config, &app)?);
+        }
+        Ok(Scenario {
+            app,
+            config,
+            topology,
+        })
+    }
+
+    /// Runs the scenario serially or on the cluster, streaming every
+    /// event into `rec`. With [`NoopRecorder`] nothing is recorded and
+    /// the recording call sites compile away.
+    fn run<R: Recorder>(&self, rec: &mut R) -> Outcome {
+        let config = self.config.clone();
+        match self.topology {
+            None => Outcome::Serial(Box::new(
+                Simulator::new(config).run_recorded(&self.app, rec),
+            )),
+            Some((_, active)) => {
+                let apps = vec![self.app.clone(); active as usize];
+                Outcome::Cluster(ClusterSim::new(config).run_recorded(&apps, rec))
+            }
+        }
+    }
+
+    /// How the run was made, for the commands' headline.
+    fn label(&self) -> String {
+        match self.topology {
+            None => "serial run".to_owned(),
+            Some((nodes, active)) => format!("{nodes}-node cluster, {active} active"),
+        }
+    }
+}
+
 /// The human-readable reliability line, printed only for fault-injected
-/// runs (a clean run has nothing to report).
-fn reliability_line(
-    timeouts: u64,
-    retries: u64,
-    failovers: u64,
-    fell_back_to_disk: u64,
-    pages_lost: u64,
-) -> String {
+/// runs (a clean run has nothing to report). Crashes are cluster-wide,
+/// so every node reports the same pages lost.
+fn reliability_line(nodes: &[RunReport]) -> String {
+    let sum = |f: fn(&RunReport) -> u64| -> u64 { nodes.iter().map(f).sum() };
     format!(
-        "reliability: {timeouts} timeouts, {retries} retries, {failovers} failovers, \
-         {fell_back_to_disk} disk fallbacks, {pages_lost} pages lost to crashes\n"
+        "reliability: {} timeouts, {} retries, {} failovers, {} disk fallbacks, \
+         {} pages lost to crashes\n",
+        sum(|n| n.timeouts),
+        sum(|n| n.retries),
+        sum(|n| n.failovers),
+        sum(|n| n.fell_back_to_disk),
+        nodes.first().map_or(0, |n| n.gms.pages_lost_to_crash)
     )
 }
 
-/// The time-series export flags shared by `run` and `cluster`.
+/// The time-series export flags of `run` and `cluster`.
 struct MetricsOpts {
     json_out: Option<PathBuf>,
     prom_out: Option<PathBuf>,
@@ -1047,20 +991,17 @@ impl MetricsOpts {
         })
     }
 
-    /// Whether any export was requested (and so recording is needed).
-    fn wanted(&self) -> bool {
-        self.json_out.is_some() || self.prom_out.is_some()
+    /// A windowed series recorder, when any export was requested.
+    fn recorder(&self) -> Option<TimeSeriesRecorder> {
+        (self.json_out.is_some() || self.prom_out.is_some())
+            .then(|| TimeSeriesRecorder::new(self.window))
     }
 
-    /// Folds the recorded stream into windows and writes the requested
-    /// exports, appending one status line per file to `out`.
-    fn export(&self, rec: &MemoryRecorder, out: &mut String) -> Result<(), CliError> {
-        if !self.wanted() {
-            return Ok(());
-        }
-        let ts = TimeSeriesRecorder::replay(self.window, rec.iter());
+    /// Writes the requested exports of the recorded series, appending
+    /// one status line per file to `out`.
+    fn export(&self, ts: &TimeSeriesRecorder, out: &mut String) -> Result<(), CliError> {
         if let Some(path) = &self.json_out {
-            write_file(path, &metrics_json(&ts))?;
+            write_file(path, &metrics_json(ts))?;
             let _ = writeln!(
                 out,
                 "metrics: {} ({} windows of {})",
@@ -1077,8 +1018,7 @@ impl MetricsOpts {
     }
 }
 
-/// The spatial-heat export flags shared by `run`, `cluster` and
-/// `sweep`.
+/// The spatial-heat export flags of `run`, `cluster` and `sweep`.
 struct HeatOpts {
     out: Option<PathBuf>,
     region_pages: Option<u64>,
@@ -1095,21 +1035,17 @@ impl HeatOpts {
         Ok(HeatOpts { out, region_pages })
     }
 
-    /// Whether a heat export was requested.
-    fn wanted(&self) -> bool {
-        self.out.is_some()
-    }
-
-    /// An empty accumulator at the requested granularity. Wire
-    /// tracking stays off: the export path declines background
-    /// occupancies, which is what keeps it under the benched
-    /// `heat_overhead_pct` ceiling.
-    fn build(&self) -> HeatMap {
+    /// An empty accumulator at the requested granularity, when a heat
+    /// export was requested. Wire tracking stays off: the export path
+    /// declines background occupancies, which is what keeps it under
+    /// the benched `heat_overhead_pct` ceiling.
+    fn recorder(&self) -> Option<HeatMap> {
+        self.out.as_ref()?;
         let mut heat = HeatMap::new();
         if let Some(pages) = self.region_pages {
             heat = heat.with_region_pages(pages);
         }
-        heat
+        Some(heat)
     }
 
     /// Writes the gms-heat/v1 document, appending a status line.
@@ -1145,136 +1081,177 @@ fn parse_region_pages(args: &mut Args) -> Result<Option<u64>, CliError> {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_command(
-    app: &AppProfile,
-    policy: FetchPolicy,
-    memory: MemoryConfig,
-    net: NetParams,
-    replacement: ReplacementKind,
-    pal: bool,
-    retry: RetryConfig,
-    fault_plan: Option<&str>,
+/// The export flags of `run` and `cluster`.
+struct Exports {
     slo: Option<Duration>,
-    trace_out: Option<&Path>,
-    summary_json: Option<&Path>,
-    metrics: &MetricsOpts,
-    heat: &HeatOpts,
-) -> Result<String, CliError> {
-    let access_cost = if pal {
-        AccessCost::PalEmulated
-    } else {
-        AccessCost::TlbSupported
-    };
-    let mut config = SimConfig::builder()
-        .policy(policy)
-        .memory(memory)
-        .net(net)
-        .replacement(replacement)
-        .access_cost(access_cost)
-        .retry(retry)
-        .build();
-    let injecting = fault_plan.is_some();
-    if let Some(spec) = fault_plan {
-        config.fault_plan = Some(parse_fault_plan(spec, &config, app)?);
+    trace_out: Option<PathBuf>,
+    summary_json: Option<PathBuf>,
+    metrics: MetricsOpts,
+    heat: HeatOpts,
+}
+
+impl Exports {
+    /// Extracts `--slo`, `--trace-out`, `--summary-json` and the metrics
+    /// and heat flags.
+    fn parse(args: &mut Args) -> Result<Self, CliError> {
+        let slo = match args.take_value("--slo") {
+            Some(s) => Some(parse_duration(&s)?),
+            None => None,
+        };
+        Ok(Exports {
+            slo,
+            trace_out: args.take_value("--trace-out").map(PathBuf::from),
+            summary_json: args.take_value("--summary-json").map(PathBuf::from),
+            metrics: MetricsOpts::parse(args)?,
+            heat: HeatOpts::parse(args)?,
+        })
     }
-    let sim = Simulator::new(config);
-    // Record only when someone asked for a trace, metrics or heat
-    // export; a summary alone is computed from the report's fault log.
-    let (report, extra) = if trace_out.is_some() || metrics.wanted() {
-        let mut rec = MemoryRecorder::new();
-        let report = sim.run_recorded(app, &mut rec);
-        let mut line = String::new();
-        if let Some(path) = trace_out {
-            write_file(path, &perfetto_trace(rec.iter()))?;
-            let _ = writeln!(line, "trace: {} ({} events)", path.display(), rec.len());
-        }
-        metrics.export(&rec, &mut line)?;
-        if heat.wanted() {
-            // The heat fold is a pure function of the stream, so
-            // replaying the buffered trace equals recording live.
-            let mut hm = heat.build();
-            for &event in rec.iter() {
-                hm.record(event);
-            }
-            heat.export(&hm, &mut line)?;
-        }
-        (report, line)
-    } else if heat.wanted() {
-        // Heat alone records directly: the accumulator declines
-        // background events, so the engine skips the occupancy
-        // firehose entirely.
-        let mut hm = heat.build();
-        let report = sim.run_recorded(app, &mut hm);
-        let mut line = String::new();
-        heat.export(&hm, &mut line)?;
-        (report, line)
-    } else {
-        (sim.run(app), String::new())
-    };
-    let mut extra = extra;
-    if let Some(path) = summary_json {
-        // --slo upgrades the summary to gms-summary/v3 (tail + slo
-        // sections); the default stays byte-pinned v2.
-        let doc = match slo {
-            Some(slo) => run_summary_json_v3(&report, Some(slo)),
-            None => run_summary_json(&report),
+
+    /// Writes the summary, if requested, and returns its status line.
+    /// `--slo` upgrades it to gms-summary/v3 (tail + slo sections); the
+    /// default stays byte-pinned v2.
+    fn write_summary(&self, outcome: &Outcome) -> Result<String, CliError> {
+        let Some(path) = &self.summary_json else {
+            return Ok(String::new());
+        };
+        let doc = match (outcome, self.slo) {
+            (Outcome::Serial(report), None) => run_summary_json(report),
+            (Outcome::Serial(report), slo) => run_summary_json_v3(report, slo),
+            (Outcome::Cluster(report), None) => cluster_summary_json(report),
+            (Outcome::Cluster(report), slo) => cluster_summary_json_v3(report, slo),
         };
         write_file(path, &doc)?;
-        let _ = writeln!(extra, "summary: {}", path.display());
+        Ok(format!("summary: {}\n", path.display()))
     }
-    if let Some(slo) = slo {
-        extra.push_str(&slo_line(slo, std::iter::once(&report)));
-    }
-    let (exec, sp, wait) = report.decomposition();
-    let mut out = String::new();
-    let _ = writeln!(out, "{}", report.summary());
-    let _ = writeln!(
-        out,
-        "decomposition: exec {:.0}%  sp_latency {:.0}%  page_wait {:.0}%",
-        exec * 100.0,
-        sp * 100.0,
-        wait * 100.0
-    );
-    let _ = writeln!(
-        out,
-        "faults: {} remote, {} disk, {} lazy; {} evictions ({} dirty), {} wasted transfers",
-        report.faults.remote,
-        report.faults.disk,
-        report.faults.lazy_subpage,
-        report.evictions,
-        report.dirty_evictions,
-        report.wasted_transfers
-    );
-    let _ = writeln!(
-        out,
-        "overlap: {:.0}% I/O-on-I/O; emulation {:.2} ms; putpage setup {:.2} ms",
-        report.overlap.io_fraction() * 100.0,
-        report.emulation_time.as_millis_f64(),
-        report.putpage_overhead.as_millis_f64()
-    );
-    if injecting {
-        out.push_str(&reliability_line(
-            report.timeouts,
-            report.retries,
-            report.failovers,
-            report.fell_back_to_disk,
-            report.gms.pages_lost_to_crash,
-        ));
-    }
-    let hist = report.wait_histogram();
-    if !hist.is_empty() {
-        let (p50, p90, p99, max) = hist.quartet();
+}
+
+/// `gms-sim run` and `gms-sim cluster`: runs the scenario once and
+/// prints its report. The trace, metrics and heat exports are folded
+/// live by one composed recorder; with none of them requested the run
+/// takes the [`NoopRecorder`] path, where recording compiles away (a
+/// summary alone is computed from the report's fault log).
+fn run_command(scenario: &Scenario, exports: &Exports) -> Result<String, CliError> {
+    let mut trace = exports.trace_out.as_ref().map(|_| MemoryRecorder::new());
+    let mut metrics = exports.metrics.recorder();
+    let mut heat = exports.heat.recorder();
+    let outcome = if trace.is_none() && metrics.is_none() && heat.is_none() {
+        scenario.run(&mut NoopRecorder)
+    } else {
+        scenario.run(&mut (&mut trace, (&mut metrics, &mut heat)))
+    };
+    let mut artifacts = String::new();
+    if let (Some(path), Some(rec)) = (&exports.trace_out, &trace) {
+        write_file(path, &perfetto_trace(rec.iter()))?;
         let _ = writeln!(
-            out,
-            "page wait percentiles: p50 {:.0} us, p90 {:.0} us, p99 {:.0} us, max {:.0} us",
-            p50 as f64 / 1000.0,
-            p90 as f64 / 1000.0,
-            p99 as f64 / 1000.0,
-            max as f64 / 1000.0
+            artifacts,
+            "trace: {} ({} events)",
+            path.display(),
+            rec.len()
         );
     }
-    out.push_str(&extra);
+    if let Some(ts) = &metrics {
+        exports.metrics.export(ts, &mut artifacts)?;
+    }
+    if let Some(hm) = &heat {
+        exports.heat.export(hm, &mut artifacts)?;
+    }
+    let summary = exports.write_summary(&outcome)?;
+    let nodes = outcome.nodes();
+    let slo = exports
+        .slo
+        .map(|slo| slo_line(slo, nodes))
+        .unwrap_or_default();
+
+    let mut out = String::new();
+    match &outcome {
+        Outcome::Serial(report) => {
+            let (exec, sp, wait) = report.decomposition();
+            let _ = writeln!(out, "{}", report.summary());
+            let _ = writeln!(
+                out,
+                "decomposition: exec {:.0}%  sp_latency {:.0}%  page_wait {:.0}%",
+                exec * 100.0,
+                sp * 100.0,
+                wait * 100.0
+            );
+            let _ = writeln!(
+                out,
+                "faults: {} remote, {} disk, {} lazy; {} evictions ({} dirty), {} wasted transfers",
+                report.faults.remote,
+                report.faults.disk,
+                report.faults.lazy_subpage,
+                report.evictions,
+                report.dirty_evictions,
+                report.wasted_transfers
+            );
+            let _ = writeln!(
+                out,
+                "overlap: {:.0}% I/O-on-I/O; emulation {:.2} ms; putpage setup {:.2} ms",
+                report.overlap.io_fraction() * 100.0,
+                report.emulation_time.as_millis_f64(),
+                report.putpage_overhead.as_millis_f64()
+            );
+        }
+        Outcome::Cluster(report) => {
+            let _ = write!(out, "{}", report.summary());
+            let _ = writeln!(
+                out,
+                "mean page wait per node: {:.2} ms",
+                report.mean_page_wait().as_millis_f64()
+            );
+            let _ = writeln!(
+                out,
+                "node utilization: min {:.1}%, max {:.1}%",
+                report.net.min_node_utilization * 100.0,
+                report.net.max_node_utilization * 100.0
+            );
+        }
+    }
+    if scenario.config.fault_plan.is_some() {
+        out.push_str(&reliability_line(nodes));
+    }
+    match &outcome {
+        Outcome::Serial(report) => {
+            let hist = report.wait_histogram();
+            if !hist.is_empty() {
+                let (p50, p90, p99, max) = hist.quartet();
+                let _ = writeln!(
+                    out,
+                    "page wait percentiles: p50 {:.0} us, p90 {:.0} us, p99 {:.0} us, max {:.0} us",
+                    p50 as f64 / 1000.0,
+                    p90 as f64 / 1000.0,
+                    p99 as f64 / 1000.0,
+                    max as f64 / 1000.0
+                );
+            }
+            out.push_str(&artifacts);
+            out.push_str(&summary);
+            out.push_str(&slo);
+        }
+        Outcome::Cluster(_) => {
+            // The replication line appears only when the run actually
+            // keeps spare copies; the single-copy default stays
+            // byte-identical to the pre-replication output.
+            if scenario.config.replication.replicas > 1 {
+                if let Some(gms) = nodes.first().map(|n| &n.gms) {
+                    let _ = writeln!(
+                        out,
+                        "replication: {} copies, {} replica writes, {} pages re-replicated \
+                         ({} repair bytes), {} directory rebuilds, vulnerable {:.2} ms",
+                        gms.replicas,
+                        gms.replica_writes,
+                        gms.pages_re_replicated,
+                        gms.repair_bytes,
+                        gms.directory_rebuilds,
+                        gms.window_of_vulnerability_ns as f64 / 1e6,
+                    );
+                }
+            }
+            out.push_str(&slo);
+            out.push_str(&artifacts);
+            out.push_str(&summary);
+        }
+    }
     Ok(out)
 }
 
@@ -1297,7 +1274,7 @@ fn sweep_command(
         sweep = sweep.policies(policies);
     }
     if let Some(spec) = fault_plan {
-        let plan = parse_fault_plan(spec, &SimConfig::builder().build(), app)?;
+        let plan = parse_fault_plan(spec, &SimConfig::default(), app)?;
         sweep = sweep.configure(move |b| b.fault_plan(plan.clone()));
     }
     if let Some(dir) = &trace_dir {
@@ -1305,8 +1282,8 @@ fn sweep_command(
             .map_err(|e| err(format!("cannot create {}: {e}", dir.display())))?;
         sweep = sweep.trace_dir(dir.clone());
     }
-    if heat.wanted() {
-        sweep = sweep.heat(heat.build());
+    if let Some(heat) = heat.recorder() {
+        sweep = sweep.heat(heat);
     }
     let results = sweep.run_parallel(jobs);
     let mut out = String::new();
@@ -1347,127 +1324,10 @@ fn sweep_command(
     Ok(out)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn cluster_command(
-    app: &AppProfile,
-    nodes: u32,
-    active: u32,
-    policy: FetchPolicy,
-    memory: MemoryConfig,
-    net: NetParams,
-    replacement: ReplacementKind,
-    retry: RetryConfig,
-    replication: ReplicationConfig,
-    fault_plan: Option<&str>,
-    slo: Option<Duration>,
-    trace_out: Option<&Path>,
-    summary_json: Option<&Path>,
-    metrics: &MetricsOpts,
-    heat: &HeatOpts,
-) -> Result<String, CliError> {
-    let mut config = SimConfig::builder()
-        .policy(policy)
-        .memory(memory)
-        .net(net)
-        .replacement(replacement)
-        .cluster_nodes(nodes)
-        .retry(retry)
-        .replication(replication)
-        .build();
-    let injecting = fault_plan.is_some();
-    if let Some(spec) = fault_plan {
-        config.fault_plan = Some(parse_fault_plan(spec, &config, app)?);
-    }
-    let apps = vec![app.clone(); active as usize];
-    let sim = ClusterSim::new(config);
-    let (report, trace_line) = if trace_out.is_some() || metrics.wanted() {
-        let mut rec = MemoryRecorder::new();
-        let report = sim.run_recorded(&apps, &mut rec);
-        let mut line = String::new();
-        if let Some(path) = trace_out {
-            write_file(path, &perfetto_trace(rec.iter()))?;
-            let _ = writeln!(line, "trace: {} ({} events)", path.display(), rec.len());
-        }
-        metrics.export(&rec, &mut line)?;
-        if heat.wanted() {
-            let mut hm = heat.build();
-            for &event in rec.iter() {
-                hm.record(event);
-            }
-            heat.export(&hm, &mut line)?;
-        }
-        (report, line)
-    } else if heat.wanted() {
-        let mut hm = heat.build();
-        let report = sim.run_recorded(&apps, &mut hm);
-        let mut line = String::new();
-        heat.export(&hm, &mut line)?;
-        (report, line)
-    } else {
-        (sim.run(&apps), String::new())
-    };
-    let mut out = String::new();
-    let _ = write!(out, "{}", report.summary());
-    let _ = writeln!(
-        out,
-        "mean page wait per node: {:.2} ms",
-        report.mean_page_wait().as_millis_f64()
-    );
-    let _ = writeln!(
-        out,
-        "node utilization: min {:.1}%, max {:.1}%",
-        report.net.min_node_utilization * 100.0,
-        report.net.max_node_utilization * 100.0
-    );
-    if injecting {
-        out.push_str(&reliability_line(
-            report.nodes.iter().map(|n| n.timeouts).sum(),
-            report.nodes.iter().map(|n| n.retries).sum(),
-            report.nodes.iter().map(|n| n.failovers).sum(),
-            report.nodes.iter().map(|n| n.fell_back_to_disk).sum(),
-            report
-                .nodes
-                .first()
-                .map_or(0, |n| n.gms.pages_lost_to_crash),
-        ));
-    }
-    // The replication line appears only when the run actually keeps
-    // spare copies; the single-copy default stays byte-identical to the
-    // pre-replication output.
-    if replication.replicas > 1 {
-        if let Some(gms) = report.nodes.first().map(|n| &n.gms) {
-            let _ = writeln!(
-                out,
-                "replication: {} copies, {} replica writes, {} pages re-replicated \
-                 ({} repair bytes), {} directory rebuilds, vulnerable {:.2} ms",
-                gms.replicas,
-                gms.replica_writes,
-                gms.pages_re_replicated,
-                gms.repair_bytes,
-                gms.directory_rebuilds,
-                gms.window_of_vulnerability_ns as f64 / 1e6,
-            );
-        }
-    }
-    if let Some(slo) = slo {
-        out.push_str(&slo_line(slo, report.nodes.iter()));
-    }
-    out.push_str(&trace_line);
-    if let Some(path) = summary_json {
-        let doc = match slo {
-            Some(slo) => cluster_summary_json_v3(&report, Some(slo)),
-            None => cluster_summary_json(&report),
-        };
-        write_file(path, &doc)?;
-        let _ = writeln!(out, "summary: {}", path.display());
-    }
-    Ok(out)
-}
-
 /// The human-readable SLO attainment line shared by `run` and
 /// `cluster`: attainment over every fault, plus the sketch-estimated
 /// p99.9 so the threshold can be judged against the tail it polices.
-fn slo_line<'a>(slo: Duration, reports: impl Iterator<Item = &'a RunReport>) -> String {
+fn slo_line(slo: Duration, reports: &[RunReport]) -> String {
     let mut sketch = QuantileSketch::new();
     let (mut total, mut under) = (0u64, 0u64);
     for r in reports {
@@ -1528,57 +1388,19 @@ fn rows_table(rows: &[ComponentRow]) -> String {
 /// `gms-sim profile`: records a run, attributes every fault's wait to
 /// critical-path components, checks conservation against the report's
 /// latency buckets, and prints the requested aggregation.
-#[allow(clippy::too_many_arguments)]
 fn profile_command(
-    app: &AppProfile,
-    policy: FetchPolicy,
-    memory: MemoryConfig,
-    net: NetParams,
-    replacement: ReplacementKind,
-    pal: bool,
-    cluster: Option<(u32, u32)>,
+    scenario: &Scenario,
     by: &str,
-    fault_plan: Option<&str>,
     json_out: Option<&Path>,
 ) -> Result<String, CliError> {
-    let access_cost = if pal {
-        AccessCost::PalEmulated
-    } else {
-        AccessCost::TlbSupported
-    };
-    let mut builder = SimConfig::builder()
-        .policy(policy)
-        .memory(memory)
-        .net(net)
-        .replacement(replacement)
-        .access_cost(access_cost);
-    if let Some((nodes, _)) = cluster {
-        builder = builder.cluster_nodes(nodes);
-    }
-    let mut config = builder.build();
-    if let Some(spec) = fault_plan {
-        config.fault_plan = Some(parse_fault_plan(spec, &config, app)?);
-    }
     let mut rec = MemoryRecorder::new();
-    let (what, reported) = match cluster {
-        Some((nodes, active)) => {
-            let apps = vec![app.clone(); active as usize];
-            let report = ClusterSim::new(config).run_recorded(&apps, &mut rec);
-            let wait: Duration = report
-                .nodes
-                .iter()
-                .map(|n| n.sp_latency + n.page_wait)
-                .sum();
-            (format!("{nodes}-node cluster, {active} active"), wait)
-        }
-        None => {
-            let report = Simulator::new(config).run_recorded(app, &mut rec);
-            (
-                "serial run".to_owned(),
-                report.sp_latency + report.page_wait,
-            )
-        }
-    };
+    let reported: Duration = scenario
+        .run(&mut rec)
+        .nodes()
+        .iter()
+        .map(|n| n.sp_latency + n.page_wait)
+        .sum();
+    let policy = scenario.config.policy;
     let attrib: AttributionReport =
         attribute(rec.iter()).map_err(|e| err(format!("attribution failed: {e}")))?;
     let attributed = attrib.total_wait();
@@ -1591,9 +1413,10 @@ fn profile_command(
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "profile: {} — {} ({what}), {} faults",
-        app.name(),
+        "profile: {} — {} ({}), {} faults",
+        scenario.app.name(),
         policy.label(),
+        scenario.label(),
         attrib.faults.len()
     );
     let _ = writeln!(
@@ -1684,68 +1507,21 @@ fn kind_label(kind: FaultKind) -> &'static str {
 /// recorder, replays the retained worst-fault exemplar chains through
 /// the critical-path attribution walk, and reports each one's Table-2
 /// decomposition next to SLO attainment tallied over *all* faults.
-#[allow(clippy::too_many_arguments)]
 fn explain_command(
-    app: &AppProfile,
-    policy: FetchPolicy,
-    memory: MemoryConfig,
-    net: NetParams,
-    replacement: ReplacementKind,
-    pal: bool,
-    cluster: Option<(u32, u32)>,
+    scenario: &Scenario,
     worst: usize,
     window: Option<Duration>,
     slo: Duration,
-    fault_plan: Option<&str>,
     json_out: Option<&Path>,
     trace_out: Option<&Path>,
 ) -> Result<String, CliError> {
-    let access_cost = if pal {
-        AccessCost::PalEmulated
-    } else {
-        AccessCost::TlbSupported
-    };
-    let mut builder = SimConfig::builder()
-        .policy(policy)
-        .memory(memory)
-        .net(net)
-        .replacement(replacement)
-        .access_cost(access_cost);
-    if let Some((nodes, _)) = cluster {
-        builder = builder.cluster_nodes(nodes);
-    }
-    let mut config = builder.build();
-    if let Some(spec) = fault_plan {
-        config.fault_plan = Some(parse_fault_plan(spec, &config, app)?);
-    }
     let mut flight = FlightRecorder::new(worst).with_slo(slo);
     if let Some(w) = window {
         flight = flight.with_window(w);
     }
-
-    enum Ran {
-        Serial(Box<RunReport>),
-        Cluster(ClusterReport),
-    }
-    let (what, ran) = match cluster {
-        Some((nodes, active)) => {
-            let apps = vec![app.clone(); active as usize];
-            let report = ClusterSim::new(config).run_recorded(&apps, &mut flight);
-            (
-                format!("{nodes}-node cluster, {active} active"),
-                Ran::Cluster(report),
-            )
-        }
-        None => {
-            let report = Simulator::new(config).run_recorded(app, &mut flight);
-            ("serial run".to_owned(), Ran::Serial(Box::new(report)))
-        }
-    };
+    let outcome = scenario.run(&mut flight);
     flight.seal();
-    let node_reports: Vec<&RunReport> = match &ran {
-        Ran::Serial(r) => vec![r],
-        Ran::Cluster(c) => c.nodes.iter().collect(),
-    };
+    let node_reports = outcome.nodes();
 
     // Cross-check 1: the recorder's totals — tallied over every fault,
     // retained or not — must reproduce the engine's own accounting.
@@ -1811,7 +1587,7 @@ fn explain_command(
 
     // SLO attainment per fault class, over the full fault log.
     let mut classes: Vec<(&'static str, u64, u64)> = Vec::new();
-    for r in &node_reports {
+    for r in node_reports {
         for f in &r.fault_log {
             let label = kind_label(f.kind);
             let entry = match classes.iter_mut().find(|(l, _, _)| *l == label) {
@@ -1828,20 +1604,21 @@ fn explain_command(
     let under_total: u64 = classes.iter().map(|(_, _, u)| u).sum();
 
     let mut sketch = QuantileSketch::new();
-    for r in &node_reports {
+    for r in node_reports {
         sketch.merge(&r.wait_sketch());
     }
 
     let (policy_label, memory_label) = {
-        let r = node_reports[0];
+        let r = &node_reports[0];
         (r.policy.clone(), r.memory.clone())
     };
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "explain: {} — {policy_label} ({what}): {faults_total} faults, {} exemplar chains \
+        "explain: {} — {policy_label} ({}): {faults_total} faults, {} exemplar chains \
          retained ({} events, worst {worst} per node{}), {} candidates dropped",
-        app.name(),
+        scenario.app.name(),
+        scenario.label(),
         flight.retained(),
         flight.retained_events(),
         match window {
@@ -1939,9 +1716,9 @@ fn explain_command(
             path,
             &explain_json(
                 &ExplainDoc {
-                    kind: match &ran {
-                        Ran::Serial(_) => "run",
-                        Ran::Cluster(_) => "cluster",
+                    kind: match outcome {
+                        Outcome::Serial(_) => "run",
+                        Outcome::Cluster(_) => "cluster",
                     },
                     policy: &policy_label,
                     memory: &memory_label,
@@ -2104,40 +1881,14 @@ fn explain_json(
 /// (wire tracking on), cross-checks the accumulated totals against the
 /// run report's own accounting, and prints the requested spatial
 /// breakdown with refault-interval percentiles.
-#[allow(clippy::too_many_arguments)]
 fn heat_command(
-    app: &AppProfile,
-    policy: FetchPolicy,
-    memory: MemoryConfig,
-    net: NetParams,
-    replacement: ReplacementKind,
-    pal: bool,
-    cluster: Option<(u32, u32)>,
+    scenario: &Scenario,
     by: &str,
     region_pages: Option<u64>,
     top: usize,
-    fault_plan: Option<&str>,
     json_out: Option<&Path>,
     perfetto_out: Option<&Path>,
 ) -> Result<String, CliError> {
-    let access_cost = if pal {
-        AccessCost::PalEmulated
-    } else {
-        AccessCost::TlbSupported
-    };
-    let mut builder = SimConfig::builder()
-        .policy(policy)
-        .memory(memory)
-        .net(net)
-        .replacement(replacement)
-        .access_cost(access_cost);
-    if let Some((nodes, _)) = cluster {
-        builder = builder.cluster_nodes(nodes);
-    }
-    let mut config = builder.build();
-    if let Some(spec) = fault_plan {
-        config.fault_plan = Some(parse_fault_plan(spec, &config, app)?);
-    }
     // --by page means single-page regions; an explicit --regions must
     // agree rather than being silently overridden.
     let pages = match (by, region_pages) {
@@ -2151,29 +1902,8 @@ fn heat_command(
         (_, None) => 64,
     };
     let mut heat = HeatMap::new().with_region_pages(pages).with_wire_tracking();
-
-    enum Ran {
-        Serial(Box<RunReport>),
-        Cluster(ClusterReport),
-    }
-    let (what, ran) = match cluster {
-        Some((nodes, active)) => {
-            let apps = vec![app.clone(); active as usize];
-            let report = ClusterSim::new(config).run_recorded(&apps, &mut heat);
-            (
-                format!("{nodes}-node cluster, {active} active"),
-                Ran::Cluster(report),
-            )
-        }
-        None => {
-            let report = Simulator::new(config).run_recorded(app, &mut heat);
-            ("serial run".to_owned(), Ran::Serial(Box::new(report)))
-        }
-    };
-    let node_reports: Vec<&RunReport> = match &ran {
-        Ran::Serial(r) => vec![r],
-        Ran::Cluster(c) => c.nodes.iter().collect(),
-    };
+    let outcome = scenario.run(&mut heat);
+    let node_reports = outcome.nodes();
 
     // Cross-check 1: the per-region fault counts, summed per class,
     // must reproduce the engine's own accounting exactly.
@@ -2224,9 +1954,10 @@ fn heat_command(
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "heat: {} — {} ({what}): {} faults over {} regions of {} pages",
-        app.name(),
-        policy.label(),
+        "heat: {} — {} ({}): {} faults over {} regions of {} pages",
+        scenario.app.name(),
+        scenario.config.policy.label(),
+        scenario.label(),
         totals.total_faults(),
         heat.regions().len(),
         heat.region_pages()
@@ -2336,7 +2067,7 @@ fn heat_command(
             }
         }
     }
-    if policy.is_adaptive() {
+    if scenario.config.policy.is_adaptive() {
         let _ = writeln!(
             out,
             "prefetch: {} subpages ({} bytes) predicted, {} subpages ({} bytes) never touched",
@@ -3442,7 +3173,7 @@ mod tests {
             "explain --app gdb --policy sp_1024",
             "heat --app gdb --policy sp_1024",
         ] {
-            for scale in ["0", "-1", "nan", "inf", "banana"] {
+            for scale in ["0", "-1", "nan", "inf", "banana", "1e18"] {
                 let e = execute(&argv(&format!("{cmd} --scale {scale}"))).unwrap_err();
                 assert!(
                     e.to_string().contains("--scale"),
@@ -4465,5 +4196,104 @@ mod tests {
             .to_string();
         assert!(msg.contains("do not partition"), "{msg}");
         let _ = std::fs::remove_file(&bad);
+    }
+
+    /// Recorders compose live: the heat and metrics documents of a
+    /// combined export are byte-equal to those each export writes alone.
+    #[test]
+    fn combined_exports_match_each_export_alone() {
+        for (name, scenario) in [
+            ("run", "run --app gdb --policy sp_1024 --scale 0.1"),
+            ("cluster", "cluster --nodes 5 --active 2 --scale 0.1"),
+        ] {
+            let file = |what: &str| temp_path(&format!("combined-{name}-{what}"));
+            let (trace, metrics, heat) =
+                (file("trace.json"), file("metrics.json"), file("heat.json"));
+            let (metrics_alone, heat_alone) = (file("metrics-alone.json"), file("heat-alone.json"));
+            execute(&argv(&format!(
+                "{scenario} --trace-out {} --metrics-out {} --heat-out {}",
+                trace.display(),
+                metrics.display(),
+                heat.display()
+            )))
+            .unwrap();
+            execute(&argv(&format!(
+                "{scenario} --heat-out {}",
+                heat_alone.display()
+            )))
+            .unwrap();
+            execute(&argv(&format!(
+                "{scenario} --metrics-out {}",
+                metrics_alone.display()
+            )))
+            .unwrap();
+            let read = |p: &std::path::PathBuf| std::fs::read_to_string(p).unwrap();
+            assert_eq!(read(&heat), read(&heat_alone), "{name}: heat");
+            assert_eq!(read(&metrics), read(&metrics_alone), "{name}: metrics");
+            for p in [trace, metrics, heat, metrics_alone, heat_alone] {
+                let _ = std::fs::remove_file(p);
+            }
+        }
+    }
+
+    /// Every simulating command takes the same scenario flags: the
+    /// replicated, crash-injected cluster runs through profile, explain
+    /// and heat with their cross-checks intact.
+    #[test]
+    fn scenario_flags_are_uniform_across_commands() {
+        let scenario = "--app gdb --scale 0.1 --nodes 5 --active 2 --replicas 2 \
+                        --fault-plan crash=n3@25%";
+        for policy in ["sp_1024", "leap_1024", "indigo_1024"] {
+            let attrib = temp_path(&format!("uniform-{policy}.attrib.json"));
+            let out = execute(&argv(&format!(
+                "profile --policy {policy} {scenario} --json {}",
+                attrib.display()
+            )))
+            .unwrap();
+            assert!(out.contains("5-node cluster, 2 active"), "{out}");
+            assert!(out.contains("(conserved)"), "{out}");
+            let checked =
+                execute(&argv(&format!("check-trace --attrib {}", attrib.display()))).unwrap();
+            assert!(checked.contains("attrib OK"), "{checked}");
+
+            let (exemplars, trace) = (
+                temp_path(&format!("uniform-{policy}.explain.json")),
+                temp_path(&format!("uniform-{policy}.explain.trace.json")),
+            );
+            let out = execute(&argv(&format!(
+                "explain --policy {policy} {scenario} --json {} --trace-out {}",
+                exemplars.display(),
+                trace.display()
+            )))
+            .unwrap();
+            assert!(out.contains("(conserved)"), "{out}");
+            let checked = execute(&argv(&format!(
+                "check-trace --exemplars {} --trace {}",
+                exemplars.display(),
+                trace.display()
+            )))
+            .unwrap();
+            assert!(checked.contains("exemplars OK"), "{checked}");
+
+            let heat = temp_path(&format!("uniform-{policy}.heat.json"));
+            let out = execute(&argv(&format!(
+                "heat --policy {policy} {scenario} --json {}",
+                heat.display()
+            )))
+            .unwrap();
+            assert!(
+                out.contains("conserved: region faults == report faults"),
+                "{out}"
+            );
+            let checked =
+                execute(&argv(&format!("check-trace --heat {}", heat.display()))).unwrap();
+            assert!(checked.contains("heat OK"), "{checked}");
+            for p in [attrib, exemplars, trace, heat] {
+                let _ = std::fs::remove_file(p);
+            }
+        }
+        // Replicas live on idle nodes: without a topology there are none.
+        let e = execute(&argv("run --app gdb --policy sp_1024 --replicas 2")).unwrap_err();
+        assert!(e.to_string().contains("--nodes"), "{e}");
     }
 }

@@ -1,9 +1,9 @@
 //! Minimal JSON support: string escaping for writers and a small
 //! recursive-descent parser for offline validation.
 //!
-//! The workspace's vendored `serde` is an inert placeholder, so the
-//! exporters build JSON by hand and the tests/`check-trace` command
-//! parse it back with this module.
+//! The workspace has no serialization dependency: the exporters build
+//! JSON by hand and the tests/`check-trace` command parse it back with
+//! this module.
 
 use std::collections::BTreeMap;
 use std::fmt;

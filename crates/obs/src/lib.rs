@@ -11,7 +11,9 @@
 //!   [`NoopRecorder`] sets `ENABLED = false`, so every recording call
 //!   site compiles to nothing via monomorphization; reports of a
 //!   no-op run are byte-identical to a recording run's (the engine's
-//!   property tests verify this).
+//!   property tests verify this). Recorders compose: a pair `(A, B)`
+//!   feeds both members and an `Option<R>` is switched on at run time,
+//!   so one live run can fold several analyzers at once.
 //! * [`Event`] — typed span/instant events for the fault lifecycle
 //!   (fault → getpage → custodian occupancy → first-subpage restart →
 //!   follow-on arrivals → putpage write-back), stamped with sim time,
@@ -41,8 +43,7 @@
 //!   track per `(node, resource)`, spans for occupancies, instants for
 //!   fault-lifecycle events.
 //! * [`JsonValue`] — a minimal JSON parser used by tests and the CLI's
-//!   `check-trace` command to validate exported files offline (the
-//!   workspace's `serde` is an inert placeholder).
+//!   `check-trace` command to validate exported files offline.
 //! * [`attribute`] — critical-path latency attribution: splits every
 //!   fault's wait into queueing vs. service per `(node, resource)` hop
 //!   using the occupancy log's queue-entry/grant/release timestamps,

@@ -1,4 +1,5 @@
-//! The `Recorder` trait and its two standard implementations.
+//! The `Recorder` trait, its two standard implementations, and the
+//! pair and `Option` combinators that compose recorders.
 
 use crate::event::Event;
 
@@ -29,9 +30,11 @@ pub trait Recorder {
     /// occupancy handling is a plain buffer append can override it to
     /// amortize the per-event capacity checks across the batch. Callers
     /// must only pass events the recorder treats uniformly (no
-    /// `Fault`/`Restart`/`Arrival`/`Stall` lifecycle edges).
+    /// `Fault`/`Restart`/`Arrival`/`Stall` lifecycle edges). The
+    /// iterator is `Clone` so a composed recorder can hand the same
+    /// burst to each of its members.
     #[inline]
-    fn record_batch(&mut self, events: impl Iterator<Item = Event>) {
+    fn record_batch(&mut self, events: impl Iterator<Item = Event> + Clone) {
         for event in events {
             self.record(event);
         }
@@ -167,7 +170,7 @@ impl Recorder for MemoryRecorder {
     /// never grows the fixed-capacity chunk). Order and content are
     /// exactly those of per-event [`Recorder::record`] calls.
     #[inline]
-    fn record_batch(&mut self, mut events: impl Iterator<Item = Event>) {
+    fn record_batch(&mut self, mut events: impl Iterator<Item = Event> + Clone) {
         loop {
             if self.used == 0 || self.chunks[self.used - 1].len() == CHUNK {
                 // Pull one event before opening a chunk so an exhausted
@@ -208,13 +211,74 @@ impl<R: Recorder> Recorder for &mut R {
     }
 
     #[inline]
-    fn record_batch(&mut self, events: impl Iterator<Item = Event>) {
+    fn record_batch(&mut self, events: impl Iterator<Item = Event> + Clone) {
         (**self).record_batch(events);
     }
 
     #[inline]
     fn wants_background(&self) -> bool {
         (**self).wants_background()
+    }
+}
+
+/// A pair records every event into both members, in order, so several
+/// analyzers fold one live run instead of replaying a buffered stream.
+/// A disabled member is skipped at compile time, and the pair wants
+/// background events while either enabled member does: a member that
+/// declines them discards whatever it is handed, so feeding it the
+/// other member's background never changes what it retains.
+impl<A: Recorder, B: Recorder> Recorder for (A, B) {
+    const ENABLED: bool = A::ENABLED || B::ENABLED;
+
+    #[inline]
+    fn record(&mut self, event: Event) {
+        if A::ENABLED {
+            self.0.record(event);
+        }
+        if B::ENABLED {
+            self.1.record(event);
+        }
+    }
+
+    #[inline]
+    fn record_batch(&mut self, events: impl Iterator<Item = Event> + Clone) {
+        if A::ENABLED {
+            self.0.record_batch(events.clone());
+        }
+        if B::ENABLED {
+            self.1.record_batch(events);
+        }
+    }
+
+    #[inline]
+    fn wants_background(&self) -> bool {
+        (A::ENABLED && self.0.wants_background()) || (B::ENABLED && self.1.wants_background())
+    }
+}
+
+/// An optional recorder: `Some` forwards, `None` records nothing and
+/// wants no background events. Lets a caller build one composed
+/// recorder whose members are switched on by flags at run time.
+impl<R: Recorder> Recorder for Option<R> {
+    const ENABLED: bool = R::ENABLED;
+
+    #[inline]
+    fn record(&mut self, event: Event) {
+        if let Some(rec) = self {
+            rec.record(event);
+        }
+    }
+
+    #[inline]
+    fn record_batch(&mut self, events: impl Iterator<Item = Event> + Clone) {
+        if let Some(rec) = self {
+            rec.record_batch(events);
+        }
+    }
+
+    #[inline]
+    fn wants_background(&self) -> bool {
+        self.as_ref().is_some_and(Recorder::wants_background)
     }
 }
 
@@ -380,5 +444,82 @@ mod tests {
             <&mut MemoryRecorder as Recorder>::record(&mut lent, sample());
         }
         assert_eq!(rec.len(), 1);
+    }
+
+    /// A wire occupancy on `node`, the kind of event the engine batches.
+    fn wire(node: u32, start: u64) -> Event {
+        Event::Occupancy {
+            node: NodeId::new(node),
+            resource: ResourceKind::WireIn,
+            what: "reply",
+            ready: SimTime::from_nanos(start),
+            start: SimTime::from_nanos(start),
+            end: SimTime::from_nanos(start + 40),
+        }
+    }
+
+    /// A fault, an occupancy burst and the restart, as the engine
+    /// emits them.
+    fn feed(rec: &mut impl Recorder) {
+        rec.record(sample());
+        rec.record_batch([wire(0, 150), wire(2, 200), wire(0, 260)].into_iter());
+        rec.record(Event::Restart {
+            node: NodeId::new(0),
+            page: 1,
+            at: SimTime::from_nanos(400),
+            wait: gms_units::Duration::from_nanos(280),
+        });
+    }
+
+    #[test]
+    fn pair_records_exactly_what_each_member_records_alone() {
+        use crate::{heat_json, HeatMap};
+        let mut alone_mem = MemoryRecorder::new();
+        let mut alone_heat = HeatMap::new().with_wire_tracking();
+        let mut pair = (MemoryRecorder::new(), HeatMap::new().with_wire_tracking());
+        feed(&mut alone_mem);
+        feed(&mut alone_heat);
+        feed(&mut pair);
+        assert_eq!(pair.0.len(), 5);
+        assert_eq!(pair.0.into_events(), alone_mem.into_events());
+        assert_eq!(heat_json(&pair.1), heat_json(&alone_heat));
+        let wire_busy: u64 = alone_heat
+            .nodes()
+            .map(|(_, h)| h.wire_busy.iter().sum::<u64>())
+            .sum();
+        assert_eq!(wire_busy, 120, "the burst reached the heat map");
+    }
+
+    #[test]
+    #[allow(clippy::assertions_on_constants)]
+    fn pair_wants_background_while_any_enabled_member_does() {
+        use crate::HeatMap;
+        let declines = HeatMap::new;
+        let wants = || HeatMap::new().with_wire_tracking();
+        assert!(!(declines(), declines()).wants_background());
+        assert!((declines(), wants()).wants_background());
+        assert!((wants(), declines()).wants_background());
+        assert!((declines(), MemoryRecorder::new()).wants_background());
+        // A disabled member's default `true` does not count.
+        assert!(!(NoopRecorder, declines()).wants_background());
+        assert!(!<(NoopRecorder, NoopRecorder) as Recorder>::ENABLED);
+        assert!(<(NoopRecorder, MemoryRecorder) as Recorder>::ENABLED);
+        // Nesting composes the same way.
+        assert!(!(declines(), (None::<MemoryRecorder>, declines())).wants_background());
+        assert!((declines(), (Some(MemoryRecorder::new()), declines())).wants_background());
+    }
+
+    #[test]
+    fn none_records_nothing_and_wants_no_background() {
+        let mut none: Option<MemoryRecorder> = None;
+        assert!(!none.wants_background());
+        none.record(sample());
+        none.record_batch([wire(0, 0), wire(1, 0)].into_iter());
+        assert!(none.is_none());
+        let mut some = Some(MemoryRecorder::new());
+        assert!(some.wants_background());
+        some.record(sample());
+        some.record_batch([wire(0, 0), wire(1, 0)].into_iter());
+        assert_eq!(some.map(|r| r.len()), Some(3));
     }
 }
