@@ -2402,6 +2402,8 @@ fn check_trace_command(
             events.len()
         );
     }
+    // Kept for the heat check's cross-check, so the file is parsed once.
+    let mut summary_doc = None;
     if let Some(path) = summary {
         let doc = parse(path, &read(path)?)?;
         let schema = doc.get("schema").and_then(JsonValue::as_str);
@@ -2454,6 +2456,7 @@ fn check_trace_command(
         }
         let kind = doc.get("kind").and_then(JsonValue::as_str).unwrap_or("?");
         let _ = writeln!(out, "summary OK: {} (kind {kind})", path.display());
+        summary_doc = Some(doc);
     }
     if let Some(path) = metrics {
         let doc = parse(path, &read(path)?)?;
@@ -2846,11 +2849,7 @@ fn check_trace_command(
         }
         // With a summary in the same invocation, the heat totals must
         // reproduce the engine's own counters.
-        if let Some(spath) = summary {
-            let sdoc = parse(spath, &read(spath)?)?;
-            let counters = sdoc
-                .get("counters")
-                .ok_or_else(|| err(format!("{}: no counters object", spath.display())))?;
+        if let Some(counters) = summary_doc.as_ref().and_then(|doc| doc.get("counters")) {
             for (key, heat_val) in [
                 ("faults_remote", total_faults[0]),
                 ("faults_disk", total_faults[1]),

@@ -4,6 +4,15 @@
 //! The workspace has no serialization dependency: the exporters build
 //! JSON by hand and the tests/`check-trace` command parse it back with
 //! this module.
+//!
+//! [`JsonValue::parse`] runs in time linear in the input: a string's
+//! plain characters are copied a run at a time, up to the next quote
+//! or backslash. It accepts only what RFC 8259 allows for strings and
+//! numbers — no raw control characters in strings, `\u` followed by
+//! exactly four hex digits, no leading zeros, and digits on both sides
+//! of a decimal point — so a document that passes here also loads in
+//! Perfetto or `jq`. Every error carries the byte offset of the
+//! offending input.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -70,6 +79,7 @@ impl JsonValue {
     /// that overflow `f64` are errors.
     pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
             depth: 0,
@@ -148,6 +158,8 @@ impl JsonValue {
 const MAX_DEPTH: usize = 256;
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes.
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
@@ -277,76 +289,108 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain characters up to the next quote or
+            // backslash in one step. Both are ASCII and every UTF-8
+            // continuation byte is >= 0x80, so the run ends on a char
+            // boundary.
+            let start = self.pos;
+            while let Some(&b) = self.bytes.get(self.pos) {
+                match b {
+                    b'"' | b'\\' => break,
+                    0x00..=0x1f => return Err(self.err("unescaped control character in string")),
+                    _ => self.pos += 1,
+                }
+            }
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            // Surrogates are not needed for our ASCII
-                            // exporters; map them to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so the
-                    // bytes are valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    self.pos += 1;
+                    out.push(self.escape()?);
                 }
             }
         }
     }
 
+    /// Decodes the escape after a backslash, leaving `pos` past it.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{0008}',
+            Some(b'f') => '\u{000c}',
+            Some(b'u') => {
+                let mut code = 0;
+                for _ in 0..4 {
+                    self.pos += 1;
+                    let digit = self
+                        .peek()
+                        .and_then(|b| char::from(b).to_digit(16))
+                        .ok_or_else(|| self.err("\\u escape needs 4 hex digits"))?;
+                    code = code * 16 + digit;
+                }
+                // Surrogates are not needed for our ASCII exporters;
+                // map them to the replacement char.
+                char::from_u32(code).unwrap_or('\u{fffd}')
+            }
+            _ => return Err(self.err("invalid escape")),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// Advances past a run of ASCII digits, erroring if there is none.
+    fn digits(&mut self, what: &str) -> Result<(), JsonError> {
+        if !matches!(self.peek(), Some(b'0'..=b'9')) {
+            return Err(self.err(&format!("expected a digit {what}")));
+        }
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        Ok(())
+    }
+
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`
     fn number(&mut self) -> Result<JsonValue, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
+        if self.peek() == Some(b'0') {
             self.pos += 1;
+            if matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.err("leading zero in number"));
+            }
+        } else {
+            self.digits("in number")?;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            self.digits("after decimal point")?;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.digits("in exponent")?;
+        }
+        // Every text the grammar above admits is valid `f64` syntax, so
+        // the one failure left is overflow to infinity.
+        let text = &self.text[start..self.pos];
         match text.parse::<f64>() {
             Ok(n) if n.is_finite() => Ok(JsonValue::Number(n)),
-            Ok(_) => Err(JsonError {
+            _ => Err(JsonError {
                 offset: start,
                 message: format!("number '{text}' is out of range"),
-            }),
-            Err(_) => Err(JsonError {
-                offset: start,
-                message: format!("invalid number '{text}'"),
             }),
         }
     }
@@ -355,6 +399,9 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{perfetto_trace, Event, FaultClass, ResourceKind};
+    use gms_units::{Duration, NodeId, SimTime};
+    use proptest::prelude::*;
 
     #[test]
     fn escape_round_trips_through_parser() {
@@ -420,5 +467,200 @@ mod tests {
             JsonValue::parse(" { } ").unwrap(),
             JsonValue::Object(BTreeMap::new())
         );
+    }
+
+    /// The offset and message of the error `text` fails with.
+    fn rejection(text: &str) -> (usize, String) {
+        let e = JsonValue::parse(text).expect_err(text);
+        (e.offset, e.message)
+    }
+
+    #[test]
+    fn unicode_escape_needs_four_hex_digits() {
+        let (offset, message) = rejection(r#""\u+041""#);
+        assert_eq!(offset, 3, "{message}");
+        assert!(message.contains("4 hex digits"), "{message}");
+        assert_eq!(rejection(r#""\u00g1""#).0, 5);
+        assert_eq!(rejection(r#""\u12"#).0, 5);
+        assert_eq!(
+            JsonValue::parse(r#""\u00e9\u00C9\u20aC""#).unwrap(),
+            JsonValue::String("éÉ€".to_string())
+        );
+    }
+
+    #[test]
+    fn raw_tab_in_string_is_rejected() {
+        let (offset, message) = rejection("\"a\tb\"");
+        assert_eq!(offset, 2);
+        assert!(message.contains("control character"), "{message}");
+    }
+
+    #[test]
+    fn raw_control_byte_in_string_is_rejected() {
+        let (offset, message) = rejection("{\"k\u{1}\":1}");
+        assert_eq!(offset, 3);
+        assert!(message.contains("control character"), "{message}");
+        // DEL is not a control character to JSON.
+        assert!(JsonValue::parse("\"\u{7f}\"").is_ok());
+    }
+
+    #[test]
+    fn leading_zero_is_rejected() {
+        let (offset, message) = rejection("01");
+        assert_eq!(offset, 1);
+        assert!(message.contains("leading zero"), "{message}");
+        assert_eq!(rejection("[-00]").0, 3);
+    }
+
+    #[test]
+    fn number_without_integer_digits_is_rejected() {
+        let (offset, message) = rejection("-.5");
+        assert_eq!(offset, 1);
+        assert!(message.contains("expected a digit"), "{message}");
+        assert_eq!(rejection("-").0, 1);
+    }
+
+    #[test]
+    fn number_without_fraction_digits_is_rejected() {
+        let (offset, message) = rejection("1.");
+        assert_eq!(offset, 2);
+        assert!(message.contains("after decimal point"), "{message}");
+        assert_eq!(rejection("[1.e5]").0, 3);
+        assert_eq!(rejection("1e+").0, 3);
+    }
+
+    #[test]
+    fn rfc_8259_numbers_parse() {
+        for (text, value) in [
+            ("0", 0.0),
+            ("-0", 0.0),
+            ("0.5", 0.5),
+            ("-1.25e-2", -0.0125),
+            ("1E+3", 1000.0),
+            ("10e0", 10.0),
+            ("1234567.125", 1_234_567.125),
+        ] {
+            assert_eq!(
+                JsonValue::parse(text).unwrap().as_f64(),
+                Some(value),
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn large_documents_parse() {
+        let unit = "é€😀 plain \"quoted\" \\ ";
+        let big = unit.repeat((4 << 20) / unit.len() + 1);
+        assert!(big.len() >= 4 << 20);
+        let doc = format!("\"{}\"", escape_json(&big));
+        assert_eq!(JsonValue::parse(&doc).unwrap().as_str(), Some(big.as_str()));
+
+        let keys = 200_000;
+        let mut doc = String::from("{");
+        for i in 0..keys {
+            if i > 0 {
+                doc.push(',');
+            }
+            doc.push_str(&format!("\"k{i}\":{i}"));
+        }
+        doc.push('}');
+        let v = JsonValue::parse(&doc).unwrap();
+        assert_eq!(v.as_object().map(BTreeMap::len), Some(keys));
+        assert_eq!(v.get("k199999").and_then(JsonValue::as_u64), Some(199_999));
+    }
+
+    /// Code points weighted toward what escaping must get right:
+    /// multi-byte scalars, quotes, backslashes and control characters.
+    fn arb_string() -> impl Strategy<Value = String> {
+        let scalar = prop_oneof![
+            4 => (0x20u32..0x7f).prop_map(|c| char::from_u32(c).unwrap()),
+            3 => (0u32..0x20).prop_map(|c| char::from_u32(c).unwrap()),
+            2 => prop_oneof![
+                Just('"'),
+                Just('\\'),
+                Just('/'),
+                Just('\u{7f}'),
+                Just('é'),
+                Just('€'),
+                Just('😀'),
+                Just('\u{2028}'),
+            ],
+            1 => (0u32..=0x10_ffff).prop_map(|c| char::from_u32(c).unwrap_or('\u{fffd}')),
+        ];
+        prop::collection::vec(scalar, 0..48).prop_map(|cs| cs.into_iter().collect())
+    }
+
+    /// A small but real Perfetto document with every record shape and
+    /// a multi-byte span name.
+    fn sample_trace() -> String {
+        let node = NodeId::new(0);
+        perfetto_trace(&[
+            Event::Fault {
+                node,
+                page: 3,
+                subpage: 2,
+                class: FaultClass::Remote,
+                at_ref: 77,
+                at: SimTime::from_nanos(100),
+            },
+            Event::Occupancy {
+                node: NodeId::new(1),
+                resource: ResourceKind::WireIn,
+                what: "dàta€",
+                ready: SimTime::from_nanos(250),
+                start: SimTime::from_nanos(300),
+                end: SimTime::from_nanos(5_300),
+            },
+            Event::Restart {
+                node,
+                page: 3,
+                at: SimTime::from_nanos(5_300),
+                wait: Duration::from_nanos(5_200),
+            },
+        ])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Whatever `escape_json` writes, the parser reads back as the
+        /// original string, both as a value and as an object key.
+        #[test]
+        fn escaped_strings_round_trip(s in arb_string()) {
+            let value = JsonValue::parse(&format!("\"{}\"", escape_json(&s)));
+            prop_assert_eq!(value, Ok(JsonValue::String(s.clone())));
+            let object = JsonValue::parse(&format!("{{\"{}\":0}}", escape_json(&s))).unwrap();
+            prop_assert_eq!(object.get(&s), Some(&JsonValue::Number(0.0)));
+        }
+
+        /// Truncating, deleting, duplicating or flipping bytes of a
+        /// real trace yields `Ok` or `Err`, never a panic.
+        #[test]
+        fn mutated_trace_never_panics(
+            edits in prop::collection::vec((0u8..4, 0usize..4096, 0usize..64, 1u8..=255), 1..4),
+        ) {
+            let mut bytes = sample_trace().into_bytes();
+            for (kind, at, len, mask) in edits {
+                let at = at % (bytes.len() + 1);
+                let end = (at + len).min(bytes.len());
+                match kind {
+                    0 => bytes.truncate(at),
+                    1 => {
+                        bytes.drain(at..end);
+                    }
+                    2 => {
+                        let copy = bytes[at..end].to_vec();
+                        bytes.splice(at..at, copy);
+                    }
+                    _ => {
+                        if let Some(b) = bytes.get_mut(at) {
+                            *b ^= mask;
+                        }
+                    }
+                }
+            }
+            let _ = JsonValue::parse(&String::from_utf8_lossy(&bytes));
+        }
     }
 }
