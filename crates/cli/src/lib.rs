@@ -18,19 +18,19 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use gms_core::{
-    cluster_summary_json, cluster_summary_json_v3, run_summary_json, run_summary_json_v3,
-    tail_json, AccessCost, ClusterReport, ClusterSim, FaultKind, FaultPlan, FetchPolicy,
-    MemoryConfig, PipelineStrategy, ReplacementKind, ReplicationConfig, RetryConfig, RunReport,
-    SimConfig, Simulator, Sweep, SUMMARY_SCHEMA, SUMMARY_SCHEMA_V3, TAIL_PERCENTILES,
-    WAIT_PERCENTILES,
+    check_heat_summary, check_summary, cluster_summary_json, cluster_summary_json_v3,
+    run_summary_json, run_summary_json_v3, AccessCost, ClusterReport, ClusterSim, FaultKind,
+    FaultPlan, FetchPolicy, MemoryConfig, PipelineStrategy, ReplacementKind, ReplicationConfig,
+    RetryConfig, RunReport, SimConfig, Simulator, Sweep,
 };
 use gms_mem::{PageSize, SubpageSize};
 use gms_net::{AccessPattern, NetParams, RecvOverhead, Timeline, TransferPlan};
 use gms_obs::{
-    attribute, attribution_json, escape_json, heat_json, heat_perfetto, metrics_json,
-    perfetto_trace, prefetch_stats, AttributionReport, ComponentRow, Exemplar, FaultAttribution,
+    attribute, attribution_json, check_attrib, check_explain, check_heat, check_metrics,
+    check_trace, explain_json, heat_json, heat_perfetto, metrics_json, perfetto_trace,
+    prefetch_stats, AttributionReport, ComponentRow, Exemplar, ExplainDoc, FaultAttribution,
     FlightRecorder, HeatMap, JsonValue, MemoryRecorder, NoopRecorder, QuantileSketch, Recorder,
-    ResourceKind, TimeSeriesRecorder, ATTRIB_SCHEMA, HEAT_SCHEMA, METRICS_SCHEMA,
+    ResourceKind, SloTally, TimeSeriesRecorder,
 };
 use gms_trace::apps::{self, AppProfile};
 use gms_units::{Bytes, Duration, SimTime};
@@ -201,19 +201,14 @@ gates instead of the default tolerance: `flight_overhead_pct` and
 baseline measured), and the `p99_9_us` far-tail cells — deterministic
 simulated values, not wall-clock — are gated at a tight 1%.
 
-check-trace re-parses exported files and validates their schema,
-including an allowlist of known instant-event kinds; --metrics and
---attrib validate gms-metrics/v1 and gms-attrib/v1 documents,
-including the attribution conservation invariant. --summary accepts
-v2 and v3 summaries, checking the shared percentile key lists plus the
-v3 tail/slo objects; --exemplars validates a gms-explain/v1 document,
-re-checking that every exemplar's components sum to its recorded wait.
---heat validates a gms-heat/v1 document: per-region class counts must
-sum to their totals, region sums must reproduce the document totals
-field by field, first touches + refaults must partition the faults,
-and per-node tallies must agree; given --summary in the same
-invocation, the heat totals are additionally cross-checked against the
-summary's fault and prefetch counters.
+check-trace parses each given file once and checks its schema: --trace
+a Perfetto trace (spans, instants of a known kind, counter tracks with
+numeric args), --summary gms-summary/v2 or v3, --metrics gms-metrics/v1,
+--attrib gms-attrib/v1, --exemplars gms-explain/v1 and --heat
+gms-heat/v1, re-verifying each document's conservation laws (exemplar
+components sum to the recorded wait, heat regions to the heat totals).
+With --summary, the heat totals must also reproduce the summary's fault
+and prefetch counters, summed over a cluster summary's nodes.
 
 --fault-plan injects deterministic faults: a comma-separated list of
   loss=<p>        per-message loss probability (0..1)
@@ -615,33 +610,16 @@ pub fn execute(argv: &[String]) -> Result<String, CliError> {
             )
         }
         "check-trace" => {
-            let trace = args.take_value("--trace").map(PathBuf::from);
-            let summary = args.take_value("--summary").map(PathBuf::from);
-            let metrics = args.take_value("--metrics").map(PathBuf::from);
-            let attrib = args.take_value("--attrib").map(PathBuf::from);
-            let exemplars = args.take_value("--exemplars").map(PathBuf::from);
-            let heat = args.take_value("--heat").map(PathBuf::from);
+            let files =
+                CHECKS.map(|(flag, _)| args.take_value(&format!("--{flag}")).map(PathBuf::from));
             args.finish()?;
-            if trace.is_none()
-                && summary.is_none()
-                && metrics.is_none()
-                && attrib.is_none()
-                && exemplars.is_none()
-                && heat.is_none()
-            {
+            if files.iter().all(Option::is_none) {
                 return Err(err(
                     "check-trace needs --trace, --summary, --metrics, --attrib, --exemplars \
                      and/or --heat",
                 ));
             }
-            check_trace_command(
-                trace.as_deref(),
-                summary.as_deref(),
-                metrics.as_deref(),
-                attrib.as_deref(),
-                exemplars.as_deref(),
-                heat.as_deref(),
-            )
+            check_trace_command(&files)
         }
         "latency" => {
             let subpage = match args.take_value("--subpage") {
@@ -1329,20 +1307,20 @@ fn sweep_command(
 /// p99.9 so the threshold can be judged against the tail it polices.
 fn slo_line(slo: Duration, reports: &[RunReport]) -> String {
     let mut sketch = QuantileSketch::new();
-    let (mut total, mut under) = (0u64, 0u64);
     for r in reports {
         sketch.merge(&r.wait_sketch());
-        total += r.fault_log.len() as u64;
-        under += r.fault_log.iter().filter(|f| f.wait <= slo).count() as u64;
     }
-    let attainment = if total == 0 {
-        1.0
-    } else {
-        under as f64 / total as f64
-    };
+    let t = SloTally::over(
+        slo,
+        reports
+            .iter()
+            .flat_map(|r| r.fault_log.iter().map(|f| f.wait)),
+    );
     format!(
-        "slo {slo}: {under}/{total} faults under threshold ({:.2}% attainment); p99.9 {:.0} us\n",
-        attainment * 100.0,
+        "slo {slo}: {}/{} faults under threshold ({:.2}% attainment); p99.9 {:.0} us\n",
+        t.under,
+        t.faults,
+        t.attainment() * 100.0,
         sketch.quantile(0.999) as f64 / 1000.0
     )
 }
@@ -1446,8 +1424,8 @@ fn profile_command(
         "node" => out.push_str(&rows_table(&attrib.by_node())),
         _ => out.push_str(&rows_table(&attrib.by_component(None))),
     }
-    if policy.is_adaptive() {
-        let stats = prefetch_stats(rec.iter());
+    let prefetch = policy.is_adaptive().then(|| prefetch_stats(rec.iter()));
+    if let Some(stats) = &prefetch {
         let _ = writeln!(
             out,
             "policy engine: {} decisions (stride {}, fallback {}, migrate {}, demand {}); \
@@ -1473,24 +1451,11 @@ fn profile_command(
         );
     }
     if let Some(path) = json_out {
-        let mut doc = attribution_json(&attrib);
-        if policy.is_adaptive() {
-            // Splice the prefetch telemetry in as a sibling object; the
-            // gms-attrib/v1 shape (schema, totals, components) is
-            // untouched, so existing consumers are unaffected.
-            let stats = prefetch_stats(rec.iter());
-            doc.truncate(doc.len() - 1);
-            let _ = write!(doc, ",\"prefetch\":{}}}", stats.to_json());
-        }
-        write_file(path, &doc)?;
+        write_file(path, &attribution_json(&attrib, prefetch.as_ref()))?;
         let _ = writeln!(out, "attribution: {}", path.display());
     }
     Ok(out)
 }
-
-/// Schema tag of the document `explain --json` writes and
-/// `check-trace --exemplars` validates.
-pub const EXPLAIN_SCHEMA: &str = "gms-explain/v1";
 
 /// A fault-kind label matching [`FaultClass::label`], so the per-class
 /// attainment lines and the exemplar class tags read the same.
@@ -1586,38 +1551,39 @@ fn explain_command(
     }
 
     // SLO attainment per fault class, over the full fault log.
-    let mut classes: Vec<(&'static str, u64, u64)> = Vec::new();
+    let mut classes: Vec<(&'static str, SloTally)> = Vec::new();
     for r in node_reports {
         for f in &r.fault_log {
             let label = kind_label(f.kind);
-            let entry = match classes.iter_mut().find(|(l, _, _)| *l == label) {
-                Some(e) => e,
+            let i = match classes.iter().position(|(l, _)| *l == label) {
+                Some(i) => i,
                 None => {
-                    classes.push((label, 0, 0));
-                    classes.last_mut().expect("just pushed")
+                    classes.push((label, SloTally::new(slo)));
+                    classes.len() - 1
                 }
             };
-            entry.1 += 1;
-            entry.2 += u64::from(f.wait <= slo);
+            classes[i].1.record(f.wait);
         }
     }
-    let under_total: u64 = classes.iter().map(|(_, _, u)| u).sum();
+    let tally = SloTally {
+        threshold: slo,
+        faults: faults_total,
+        under: classes.iter().map(|(_, t)| t.under).sum(),
+    };
 
     let mut sketch = QuantileSketch::new();
     for r in node_reports {
         sketch.merge(&r.wait_sketch());
     }
 
-    let (policy_label, memory_label) = {
-        let r = &node_reports[0];
-        (r.policy.clone(), r.memory.clone())
-    };
+    let first = &node_reports[0];
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "explain: {} — {policy_label} ({}): {faults_total} faults, {} exemplar chains \
+        "explain: {} — {} ({}): {faults_total} faults, {} exemplar chains \
          retained ({} events, worst {worst} per node{}), {} candidates dropped",
         scenario.app.name(),
+        first.policy,
         scenario.label(),
         flight.retained(),
         flight.retained_events(),
@@ -1632,24 +1598,22 @@ fn explain_command(
         "flight wait {:.3} ms == report sp_latency + page_wait (conserved)",
         reported.as_millis_f64()
     );
-    let attainment = if faults_total == 0 {
-        1.0
-    } else {
-        under_total as f64 / faults_total as f64
-    };
     let _ = writeln!(
         out,
-        "slo {slo}: {under_total}/{faults_total} under threshold ({:.2}% attainment); \
+        "slo {slo}: {}/{faults_total} under threshold ({:.2}% attainment); \
          p99.9 {:.0} us, p99.99 {:.0} us",
-        attainment * 100.0,
+        tally.under,
+        tally.attainment() * 100.0,
         sketch.quantile(0.999) as f64 / 1000.0,
         sketch.quantile(0.9999) as f64 / 1000.0
     );
-    for &(label, total, under) in &classes {
+    for (label, t) in &classes {
         let _ = writeln!(
             out,
-            "  class {label}: {under}/{total} ({:.2}%)",
-            under as f64 / total as f64 * 100.0
+            "  class {label}: {}/{} ({:.2}%)",
+            t.under,
+            t.faults,
+            t.attainment() * 100.0
         );
     }
     // Per-node, per-window burn from the recorder's full-coverage
@@ -1657,10 +1621,10 @@ fn explain_command(
     for (node, windows) in flight.windows() {
         let faults: u64 = windows.iter().map(|w| w.faults).sum();
         let violations: u64 = windows.iter().map(|w| w.violations).sum();
-        let node_attainment = if faults == 0 {
-            1.0
-        } else {
-            (faults - violations) as f64 / faults as f64
+        let attained = SloTally {
+            threshold: slo,
+            faults,
+            under: faults - violations,
         };
         let worst_window = windows.iter().max_by_key(|w| w.violations);
         let _ = write!(
@@ -1668,7 +1632,7 @@ fn explain_command(
             "node {}: {faults} faults, {violations} violations ({:.2}% attainment) \
              over {} window{}",
             node.index(),
-            node_attainment * 100.0,
+            attained.attainment() * 100.0,
             windows.len(),
             if windows.len() == 1 { "" } else { "s" }
         );
@@ -1720,16 +1684,9 @@ fn explain_command(
                         Outcome::Serial(_) => "run",
                         Outcome::Cluster(_) => "cluster",
                     },
-                    policy: &policy_label,
-                    memory: &memory_label,
-                    worst,
-                    window,
-                    slo,
-                    faults: faults_total,
-                    under: under_total,
-                    wait: reported,
-                    retained_events: flight.retained_events(),
-                    dropped: flight.dropped(),
+                    policy: &first.policy,
+                    memory: &first.memory,
+                    slo: tally,
                     classes: &classes,
                 },
                 &decomposed,
@@ -1749,132 +1706,6 @@ fn explain_command(
         );
     }
     Ok(out)
-}
-
-/// The scalar header fields of a gms-explain/v1 document, bundled so
-/// [`explain_json`] stays a renderer rather than a 15-argument call.
-struct ExplainDoc<'a> {
-    kind: &'static str,
-    policy: &'a str,
-    memory: &'a str,
-    worst: usize,
-    window: Option<Duration>,
-    slo: Duration,
-    faults: u64,
-    under: u64,
-    wait: Duration,
-    retained_events: usize,
-    dropped: u64,
-    classes: &'a [(&'static str, u64, u64)],
-}
-
-/// Renders the gms-explain/v1 document: totals, far-tail percentiles,
-/// SLO attainment (overall, per class, per node/window), and one entry
-/// per exemplar whose `components` sum exactly to its `wait_ns` —
-/// the invariant `check-trace --exemplars` re-verifies.
-fn explain_json(
-    doc: &ExplainDoc<'_>,
-    decomposed: &[(&Exemplar<'_>, &FaultAttribution)],
-    flight: &FlightRecorder,
-    sketch: &QuantileSketch,
-) -> String {
-    let mut s = format!(
-        "{{\"schema\":\"{EXPLAIN_SCHEMA}\",\"kind\":\"{}\",\"policy\":\"{}\",\"memory\":\"{}\",\
-         \"worst\":{},\"window_ns\":{},\"totals\":{{\"faults\":{},\"wait_ns\":{},\
-         \"retained\":{},\"retained_events\":{},\"dropped\":{}}},\"tail\":{}",
-        doc.kind,
-        escape_json(doc.policy),
-        escape_json(doc.memory),
-        doc.worst,
-        match doc.window {
-            Some(w) => w.as_nanos().to_string(),
-            None => "null".to_owned(),
-        },
-        doc.faults,
-        doc.wait.as_nanos(),
-        decomposed.len(),
-        doc.retained_events,
-        doc.dropped,
-        tail_json(sketch),
-    );
-    let attainment = if doc.faults == 0 {
-        1.0
-    } else {
-        doc.under as f64 / doc.faults as f64
-    };
-    let _ = write!(
-        s,
-        ",\"slo\":{{\"threshold_ns\":{},\"faults\":{},\"under\":{},\"attainment\":{attainment:.6}}}",
-        doc.slo.as_nanos(),
-        doc.faults,
-        doc.under
-    );
-    let classes: Vec<String> = doc
-        .classes
-        .iter()
-        .map(|&(label, total, under)| {
-            format!("{{\"class\":\"{label}\",\"faults\":{total},\"under\":{under}}}")
-        })
-        .collect();
-    let _ = write!(s, ",\"classes\":[{}]", classes.join(","));
-    let nodes: Vec<String> = flight
-        .windows()
-        .map(|(node, windows)| {
-            let faults: u64 = windows.iter().map(|w| w.faults).sum();
-            let violations: u64 = windows.iter().map(|w| w.violations).sum();
-            let wait: Duration = windows.iter().map(|w| w.wait).sum();
-            let rendered: Vec<String> = windows
-                .iter()
-                .map(|w| {
-                    format!(
-                        "{{\"window\":{},\"faults\":{},\"violations\":{},\"wait_ns\":{}}}",
-                        w.window,
-                        w.faults,
-                        w.violations,
-                        w.wait.as_nanos()
-                    )
-                })
-                .collect();
-            format!(
-                "{{\"node\":{},\"faults\":{faults},\"violations\":{violations},\
-                 \"wait_ns\":{},\"windows\":[{}]}}",
-                node.index(),
-                wait.as_nanos(),
-                rendered.join(",")
-            )
-        })
-        .collect();
-    let _ = write!(s, ",\"nodes\":[{}]", nodes.join(","));
-    let rendered: Vec<String> = decomposed
-        .iter()
-        .enumerate()
-        .map(|(rank, (ex, f))| {
-            format!(
-                "{{\"rank\":{},\"node\":{},\"page\":{},\"subpage\":{},\"class\":\"{}\",\
-                 \"at_ref\":{},\"fault_at_ns\":{},\"window\":{},\"wait_ns\":{},\"hops\":{},\
-                 \"components\":{{\"queue_ns\":{},\"service_ns\":{},\"transit_ns\":{},\
-                 \"retry_ns\":{},\"disk_ns\":{},\"stall_ns\":{}}}}}",
-                rank + 1,
-                ex.node.index(),
-                ex.page,
-                ex.subpage,
-                ex.class.label(),
-                ex.at_ref,
-                ex.fault_at.as_nanos(),
-                ex.window,
-                ex.wait.as_nanos(),
-                f.hops.len(),
-                f.queue_total().as_nanos(),
-                f.service_total().as_nanos(),
-                f.transit.as_nanos(),
-                f.retry_wait.as_nanos(),
-                f.disk_service.as_nanos(),
-                f.stall_wait.as_nanos()
-            )
-        })
-        .collect();
-    let _ = write!(s, ",\"exemplars\":[{}]}}", rendered.join(","));
-    s
 }
 
 /// `gms-sim heat`: re-runs the workload under a heat-map recorder
@@ -2324,591 +2155,48 @@ fn diff_command(
     }
 }
 
-/// Every instant-event kind the simulator emits. `check-trace` rejects
-/// anything else, so a renamed or misspelled event breaks loudly here
-/// rather than silently vanishing from downstream tooling.
-pub const INSTANT_KINDS: [&str; 16] = [
-    "fault",
-    "getpage",
-    "restart",
-    "arrival",
-    "putpage",
-    "timeout",
-    "retry",
-    "failover",
-    "node-down",
-    "node-up",
-    "degraded-fetch",
-    "policy-decision",
-    "prefetch",
-    "replica-write",
-    "repair",
-    "directory-rebuild",
+/// A schema's checker: the parsed file and, for the heat cross-check,
+/// the `--summary` document of the same invocation. Returns the
+/// detail of the file's OK line.
+type Checker = fn(&JsonValue, Option<&JsonValue>) -> Result<String, String>;
+
+/// `check-trace`'s flags (without `--`), in check order, each with the
+/// checker of the schema its file holds.
+const CHECKS: [(&str, Checker); 6] = [
+    ("trace", |doc, _| check_trace(doc)),
+    ("summary", |doc, _| check_summary(doc)),
+    ("metrics", |doc, _| check_metrics(doc)),
+    ("attrib", |doc, _| check_attrib(doc)),
+    ("exemplars", |doc, _| check_explain(doc)),
+    ("heat", |doc, summary| {
+        let (totals, detail) = check_heat(doc)?;
+        if let Some(summary) = summary {
+            check_heat_summary(summary, &totals)?;
+        }
+        Ok(detail)
+    }),
 ];
 
-/// Validates exported trace/summary/metrics/attribution files by
-/// re-parsing them, the same check CI's smoke step runs.
-fn check_trace_command(
-    trace: Option<&Path>,
-    summary: Option<&Path>,
-    metrics: Option<&Path>,
-    attrib: Option<&Path>,
-    exemplars: Option<&Path>,
-    heat: Option<&Path>,
-) -> Result<String, CliError> {
-    let read = |path: &Path| -> Result<String, CliError> {
-        std::fs::read_to_string(path)
-            .map_err(|e| err(format!("cannot read {}: {e}", path.display())))
-    };
-    let parse = |path: &Path, text: &str| -> Result<JsonValue, CliError> {
-        JsonValue::parse(text).map_err(|e| err(format!("{}: invalid JSON: {e}", path.display())))
-    };
+/// Validates exported files, one per [`CHECKS`] flag given, by parsing
+/// each once and running its checker: the same check CI's smoke step
+/// runs.
+fn check_trace_command(files: &[Option<PathBuf>]) -> Result<String, CliError> {
     let mut out = String::new();
-    if let Some(path) = trace {
-        let doc = parse(path, &read(path)?)?;
-        let events = doc
-            .get("traceEvents")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| err(format!("{}: no traceEvents array", path.display())))?;
-        for (i, e) in events.iter().enumerate() {
-            let ph = e.get("ph").and_then(JsonValue::as_str);
-            if !matches!(ph, Some("X" | "i" | "M")) {
-                return Err(err(format!(
-                    "{}: event {i} has unexpected phase {ph:?}",
-                    path.display()
-                )));
-            }
-            if e.get("pid").and_then(JsonValue::as_u64).is_none() {
-                return Err(err(format!("{}: event {i} has no pid", path.display())));
-            }
-            if ph == Some("i") {
-                let name = e.get("name").and_then(JsonValue::as_str);
-                if !name.is_some_and(|n| INSTANT_KINDS.contains(&n)) {
-                    return Err(err(format!(
-                        "{}: event {i} has unknown instant kind {name:?}",
-                        path.display()
-                    )));
-                }
-            }
+    // Kept for the heat cross-check, so the file is parsed once.
+    let mut summary = None;
+    for ((flag, check), path) in CHECKS.iter().zip(files) {
+        let Some(path) = path else { continue };
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| err(format!("cannot read {}: {e}", path.display())))?;
+        let in_file = |e: String| err(format!("{}: {e}", path.display()));
+        let doc = JsonValue::parse(&text).map_err(|e| in_file(format!("invalid JSON: {e}")))?;
+        let detail = check(&doc, summary.as_ref()).map_err(in_file)?;
+        let _ = writeln!(out, "{flag} OK: {} ({detail})", path.display());
+        if *flag == "summary" {
+            summary = Some(doc);
         }
-        let spans = events
-            .iter()
-            .filter(|e| e.get("ph").and_then(JsonValue::as_str) == Some("X"))
-            .count();
-        let _ = writeln!(
-            out,
-            "trace OK: {} ({} events, {spans} spans)",
-            path.display(),
-            events.len()
-        );
-    }
-    // Kept for the heat check's cross-check, so the file is parsed once.
-    let mut summary_doc = None;
-    if let Some(path) = summary {
-        let doc = parse(path, &read(path)?)?;
-        let schema = doc.get("schema").and_then(JsonValue::as_str);
-        if !matches!(schema, Some(SUMMARY_SCHEMA | SUMMARY_SCHEMA_V3)) {
-            return Err(err(format!(
-                "{}: schema {schema:?}, expected {SUMMARY_SCHEMA:?} or {SUMMARY_SCHEMA_V3:?}",
-                path.display()
-            )));
-        }
-        let wait = doc
-            .get("page_wait")
-            .ok_or_else(|| err(format!("{}: no page_wait histogram", path.display())))?;
-        // The percentile keys come from the same list the writer
-        // iterates, so neither side can drift from the other.
-        for key in std::iter::once("count")
-            .chain(WAIT_PERCENTILES.iter().map(|&(key, _)| key))
-            .chain(std::iter::once("max_ns"))
-        {
-            if wait.get(key).and_then(JsonValue::as_u64).is_none() {
-                return Err(err(format!(
-                    "{}: page_wait.{key} missing or not an integer",
-                    path.display()
-                )));
-            }
-        }
-        if doc.get("counters").and_then(JsonValue::as_object).is_none() {
-            return Err(err(format!("{}: no counters object", path.display())));
-        }
-        if schema == Some(SUMMARY_SCHEMA_V3) {
-            let tail = doc
-                .get("tail")
-                .ok_or_else(|| err(format!("{}: v3 summary has no tail object", path.display())))?;
-            for key in std::iter::once("count")
-                .chain(TAIL_PERCENTILES.iter().map(|&(key, _)| key))
-                .chain(std::iter::once("max_ns"))
-            {
-                if tail.get(key).and_then(JsonValue::as_u64).is_none() {
-                    return Err(err(format!(
-                        "{}: tail.{key} missing or not an integer",
-                        path.display()
-                    )));
-                }
-            }
-            if tail.get("rel_err").and_then(JsonValue::as_f64).is_none() {
-                return Err(err(format!("{}: tail.rel_err missing", path.display())));
-            }
-            if let Some(slo) = doc.get("slo") {
-                check_slo_object(path, slo, "slo")?;
-            }
-        }
-        let kind = doc.get("kind").and_then(JsonValue::as_str).unwrap_or("?");
-        let _ = writeln!(out, "summary OK: {} (kind {kind})", path.display());
-        summary_doc = Some(doc);
-    }
-    if let Some(path) = metrics {
-        let doc = parse(path, &read(path)?)?;
-        let schema = doc.get("schema").and_then(JsonValue::as_str);
-        if schema != Some(METRICS_SCHEMA) {
-            return Err(err(format!(
-                "{}: schema {schema:?}, expected {METRICS_SCHEMA:?}",
-                path.display()
-            )));
-        }
-        let window_ns = doc
-            .get("window_ns")
-            .and_then(JsonValue::as_u64)
-            .filter(|&w| w > 0)
-            .ok_or_else(|| err(format!("{}: bad window_ns", path.display())))?;
-        let windows = doc
-            .get("windows")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| err(format!("{}: no windows array", path.display())))?;
-        for (i, w) in windows.iter().enumerate() {
-            for key in ["t_ns", "faults", "restarts", "retries", "wait_count"] {
-                if w.get(key).and_then(JsonValue::as_u64).is_none() {
-                    return Err(err(format!(
-                        "{}: window {i} missing integer {key}",
-                        path.display()
-                    )));
-                }
-            }
-            for r in ResourceKind::ALL {
-                let key = format!("util_{}", r.label().replace('-', "_"));
-                let u = w
-                    .get(&key)
-                    .and_then(JsonValue::as_f64)
-                    .ok_or_else(|| err(format!("{}: window {i} missing {key}", path.display())))?;
-                if !(0.0..=1.0 + 1e-9).contains(&u) {
-                    return Err(err(format!(
-                        "{}: window {i} {key} = {u} out of [0, 1]",
-                        path.display()
-                    )));
-                }
-            }
-        }
-        let _ = writeln!(
-            out,
-            "metrics OK: {} ({} windows of {window_ns} ns)",
-            path.display(),
-            windows.len()
-        );
-    }
-    if let Some(path) = attrib {
-        let doc = parse(path, &read(path)?)?;
-        let schema = doc.get("schema").and_then(JsonValue::as_str);
-        if schema != Some(ATTRIB_SCHEMA) {
-            return Err(err(format!(
-                "{}: schema {schema:?}, expected {ATTRIB_SCHEMA:?}",
-                path.display()
-            )));
-        }
-        let totals = doc
-            .get("totals")
-            .ok_or_else(|| err(format!("{}: no totals object", path.display())))?;
-        let total_of = |key: &str| -> Result<u64, CliError> {
-            totals
-                .get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| err(format!("{}: totals.{key} missing", path.display())))
-        };
-        let faults = total_of("faults")?;
-        let total = total_of("total_wait_ns")?;
-        let queue = total_of("queue_ns")?;
-        let service = total_of("service_ns")?;
-        if queue + service != total {
-            return Err(err(format!(
-                "{}: queue_ns {queue} + service_ns {service} != total_wait_ns {total}",
-                path.display()
-            )));
-        }
-        let components = doc
-            .get("components")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| err(format!("{}: no components array", path.display())))?;
-        let mut sum = 0u64;
-        for (i, c) in components.iter().enumerate() {
-            for key in ["queue_ns", "service_ns"] {
-                sum += c.get(key).and_then(JsonValue::as_u64).ok_or_else(|| {
-                    err(format!("{}: component {i} missing {key}", path.display()))
-                })?;
-            }
-        }
-        if sum != total {
-            return Err(err(format!(
-                "{}: components sum to {sum} ns, totals say {total} ns",
-                path.display()
-            )));
-        }
-        let _ = writeln!(
-            out,
-            "attrib OK: {} ({faults} faults, conserved)",
-            path.display()
-        );
-    }
-    if let Some(path) = exemplars {
-        let doc = parse(path, &read(path)?)?;
-        let schema = doc.get("schema").and_then(JsonValue::as_str);
-        if schema != Some(EXPLAIN_SCHEMA) {
-            return Err(err(format!(
-                "{}: schema {schema:?}, expected {EXPLAIN_SCHEMA:?}",
-                path.display()
-            )));
-        }
-        let totals = doc
-            .get("totals")
-            .ok_or_else(|| err(format!("{}: no totals object", path.display())))?;
-        let total_of = |key: &str| -> Result<u64, CliError> {
-            totals
-                .get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| err(format!("{}: totals.{key} missing", path.display())))
-        };
-        let faults = total_of("faults")?;
-        let wait = total_of("wait_ns")?;
-        let retained = total_of("retained")?;
-        check_slo_object(
-            path,
-            doc.get("slo")
-                .ok_or_else(|| err(format!("{}: no slo object", path.display())))?,
-            "slo",
-        )?;
-        // Per-node tallies must partition the run's totals: the SLO
-        // accounting covers every fault, not just the retained ones.
-        let nodes = doc
-            .get("nodes")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| err(format!("{}: no nodes array", path.display())))?;
-        let (mut node_faults, mut node_wait) = (0u64, 0u64);
-        for (i, n) in nodes.iter().enumerate() {
-            for key in ["faults", "violations", "wait_ns"] {
-                let v = n.get(key).and_then(JsonValue::as_u64).ok_or_else(|| {
-                    err(format!(
-                        "{}: node {i} missing integer {key}",
-                        path.display()
-                    ))
-                })?;
-                match key {
-                    "faults" => node_faults += v,
-                    "wait_ns" => node_wait += v,
-                    _ => {}
-                }
-            }
-            let windows = n
-                .get("windows")
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| err(format!("{}: node {i} has no windows", path.display())))?;
-            for (j, w) in windows.iter().enumerate() {
-                let wf = w.get("faults").and_then(JsonValue::as_u64);
-                let wv = w.get("violations").and_then(JsonValue::as_u64);
-                match (wf, wv) {
-                    (Some(wf), Some(wv)) if wv <= wf => {}
-                    _ => {
-                        return Err(err(format!(
-                            "{}: node {i} window {j} has malformed fault/violation counts",
-                            path.display()
-                        )))
-                    }
-                }
-            }
-        }
-        if node_faults != faults || node_wait != wait {
-            return Err(err(format!(
-                "{}: node tallies ({node_faults} faults, {node_wait} ns) do not partition \
-                 totals ({faults} faults, {wait} ns)",
-                path.display()
-            )));
-        }
-        // Each exemplar's Table-2 components must sum to its recorded
-        // wait — the conservation invariant `explain` promises.
-        let list = doc
-            .get("exemplars")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| err(format!("{}: no exemplars array", path.display())))?;
-        if list.len() as u64 != retained {
-            return Err(err(format!(
-                "{}: {} exemplars but totals.retained = {retained}",
-                path.display(),
-                list.len()
-            )));
-        }
-        for (i, ex) in list.iter().enumerate() {
-            let wait = ex
-                .get("wait_ns")
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| err(format!("{}: exemplar {i} has no wait_ns", path.display())))?;
-            let components = ex.get("components").ok_or_else(|| {
-                err(format!(
-                    "{}: exemplar {i} has no components",
-                    path.display()
-                ))
-            })?;
-            let mut sum = 0u64;
-            for key in [
-                "queue_ns",
-                "service_ns",
-                "transit_ns",
-                "retry_ns",
-                "disk_ns",
-                "stall_ns",
-            ] {
-                sum += components
-                    .get(key)
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| {
-                        err(format!("{}: exemplar {i} missing {key}", path.display()))
-                    })?;
-            }
-            if sum != wait {
-                return Err(err(format!(
-                    "{}: exemplar {i} components sum to {sum} ns but wait_ns is {wait}",
-                    path.display()
-                )));
-            }
-        }
-        let _ = writeln!(
-            out,
-            "exemplars OK: {} ({retained} of {faults} faults retained, conserved)",
-            path.display()
-        );
-    }
-    if let Some(path) = heat {
-        let doc = parse(path, &read(path)?)?;
-        let schema = doc.get("schema").and_then(JsonValue::as_str);
-        if schema != Some(HEAT_SCHEMA) {
-            return Err(err(format!(
-                "{}: schema {schema:?}, expected {HEAT_SCHEMA:?}",
-                path.display()
-            )));
-        }
-        let region_pages = doc
-            .get("region_pages")
-            .and_then(JsonValue::as_u64)
-            .filter(|p| p.is_power_of_two())
-            .ok_or_else(|| {
-                err(format!(
-                    "{}: region_pages missing or not a power of two",
-                    path.display()
-                ))
-            })?;
-        if doc
-            .get("quantum_ns")
-            .and_then(JsonValue::as_u64)
-            .filter(|&q| q > 0)
-            .is_none()
-        {
-            return Err(err(format!("{}: bad quantum_ns", path.display())));
-        }
-        // A faults object must be internally consistent: the four
-        // class counts sum to its own total.
-        let fault_counts = |v: &JsonValue, what: &str| -> Result<[u64; 5], CliError> {
-            let f = v
-                .get("faults")
-                .ok_or_else(|| err(format!("{}: {what} has no faults object", path.display())))?;
-            let mut counts = [0u64; 5];
-            for (i, key) in ["remote", "disk", "lazy", "degraded", "total"]
-                .iter()
-                .enumerate()
-            {
-                counts[i] = f.get(key).and_then(JsonValue::as_u64).ok_or_else(|| {
-                    err(format!("{}: {what} faults.{key} missing", path.display()))
-                })?;
-            }
-            if counts[..4].iter().sum::<u64>() != counts[4] {
-                return Err(err(format!(
-                    "{}: {what} fault classes sum to {}, total says {}",
-                    path.display(),
-                    counts[..4].iter().sum::<u64>(),
-                    counts[4]
-                )));
-            }
-            Ok(counts)
-        };
-        let int_of = |v: &JsonValue, what: &str, key: &str| -> Result<u64, CliError> {
-            v.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| err(format!("{}: {what}.{key} missing", path.display())))
-        };
-        let totals = doc
-            .get("totals")
-            .ok_or_else(|| err(format!("{}: no totals object", path.display())))?;
-        let total_faults = fault_counts(totals, "totals")?;
-        let total_first = int_of(totals, "totals", "first_touches")?;
-        let total_refaults = int_of(totals, "totals", "refaults")?;
-        if total_first + total_refaults != total_faults[4] {
-            return Err(err(format!(
-                "{}: totals first_touches {total_first} + refaults {total_refaults} != \
-                 faults {}",
-                path.display(),
-                total_faults[4]
-            )));
-        }
-        // Region rows must partition the totals exactly, field by
-        // field — the heat map's conservation promise.
-        let regions = doc
-            .get("regions")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| err(format!("{}: no regions array", path.display())))?;
-        let mut sum_faults = [0u64; 5];
-        let mut sums = [0u64; 8]; // first, refaults, arrivals, pf_sp, pf_b, waste_sp, waste_b, repl_w
-        const SUM_KEYS: [&str; 8] = [
-            "first_touches",
-            "refaults",
-            "subpage_arrivals",
-            "prefetched_subpages",
-            "prefetched_bytes",
-            "wasted_subpages",
-            "wasted_bytes",
-            "replica_writes",
-        ];
-        for (i, r) in regions.iter().enumerate() {
-            let what = format!("region {i}");
-            let rf = fault_counts(r, &what)?;
-            for (s, v) in sum_faults.iter_mut().zip(rf) {
-                *s += v;
-            }
-            for (slot, key) in sums.iter_mut().zip(SUM_KEYS) {
-                *slot += int_of(r, &what, key)?;
-            }
-            let first = int_of(r, &what, "first_touches")?;
-            let refaults = int_of(r, &what, "refaults")?;
-            if first + refaults != rf[4] {
-                return Err(err(format!(
-                    "{}: {what} first_touches {first} + refaults {refaults} != faults {}",
-                    path.display(),
-                    rf[4]
-                )));
-            }
-            let sketch = r
-                .get("refault_ns")
-                .ok_or_else(|| err(format!("{}: {what} has no refault_ns", path.display())))?;
-            let count = int_of(sketch, &what, "count")?;
-            if count != refaults {
-                return Err(err(format!(
-                    "{}: {what} refault_ns.count {count} != refaults {refaults}",
-                    path.display()
-                )));
-            }
-        }
-        if sum_faults != total_faults {
-            return Err(err(format!(
-                "{}: region faults sum to {sum_faults:?}, totals say {total_faults:?}",
-                path.display()
-            )));
-        }
-        for (key, (&sum, total)) in SUM_KEYS.iter().zip(
-            sums.iter()
-                .zip(SUM_KEYS.map(|k| int_of(totals, "totals", k))),
-        ) {
-            let total = total?;
-            if sum != total {
-                return Err(err(format!(
-                    "{}: region {key} sum to {sum}, totals say {total}",
-                    path.display()
-                )));
-            }
-        }
-        // Per-node rows carry the counters regions cannot (repairs,
-        // wire time); their fault tallies must agree with the totals.
-        let nodes = doc
-            .get("nodes")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| err(format!("{}: no nodes array", path.display())))?;
-        let (mut node_faults, mut node_repl, mut node_repairs) = (0u64, 0u64, 0u64);
-        for (i, n) in nodes.iter().enumerate() {
-            let what = format!("node {i}");
-            node_faults += int_of(n, &what, "faults")?;
-            node_repl += int_of(n, &what, "replica_writes")?;
-            node_repairs += int_of(n, &what, "repairs")?;
-            int_of(n, &what, "wire_busy_ns")?;
-        }
-        if node_faults != total_faults[4] {
-            return Err(err(format!(
-                "{}: node faults sum to {node_faults}, totals say {}",
-                path.display(),
-                total_faults[4]
-            )));
-        }
-        if node_repl != sums[7] || node_repairs != int_of(totals, "totals", "repairs")? {
-            return Err(err(format!(
-                "{}: node replica/repair tallies do not match totals",
-                path.display()
-            )));
-        }
-        // With a summary in the same invocation, the heat totals must
-        // reproduce the engine's own counters.
-        if let Some(counters) = summary_doc.as_ref().and_then(|doc| doc.get("counters")) {
-            for (key, heat_val) in [
-                ("faults_remote", total_faults[0]),
-                ("faults_disk", total_faults[1]),
-                ("faults_lazy_subpage", total_faults[2]),
-                ("faults_degraded", total_faults[3]),
-                ("prefetched_subpages", sums[3]),
-                ("mispredicted_prefetch_bytes", sums[6]),
-            ] {
-                // Adaptive-only counters are absent from static-policy
-                // summaries; only compare the keys the summary carries.
-                if let Some(v) = counters.get(key).and_then(JsonValue::as_u64) {
-                    if v != heat_val {
-                        return Err(err(format!(
-                            "{}: heat counts {heat_val} for {key}, summary says {v}",
-                            path.display()
-                        )));
-                    }
-                }
-            }
-        }
-        let _ = writeln!(
-            out,
-            "heat OK: {} ({} regions of {region_pages} pages, {} faults, conserved)",
-            path.display(),
-            regions.len(),
-            total_faults[4]
-        );
     }
     Ok(out)
-}
-
-/// Validates an SLO attainment object: integer threshold and counts
-/// with `under <= faults`, and an attainment fraction in `[0, 1]`.
-fn check_slo_object(path: &Path, slo: &JsonValue, what: &str) -> Result<(), CliError> {
-    let int_of = |key: &str| -> Result<u64, CliError> {
-        slo.get(key)
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| err(format!("{}: {what}.{key} missing", path.display())))
-    };
-    int_of("threshold_ns")?;
-    let faults = int_of("faults")?;
-    let under = int_of("under")?;
-    if under > faults {
-        return Err(err(format!(
-            "{}: {what}.under {under} exceeds {what}.faults {faults}",
-            path.display()
-        )));
-    }
-    let attainment = slo
-        .get("attainment")
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| err(format!("{}: {what}.attainment missing", path.display())))?;
-    if !(0.0..=1.0).contains(&attainment) {
-        return Err(err(format!(
-            "{}: {what}.attainment {attainment} out of [0, 1]",
-            path.display()
-        )));
-    }
-    Ok(())
 }
 
 fn latency_command(subpage: Bytes) -> String {
@@ -4294,5 +3582,142 @@ mod tests {
         // Replicas live on idle nodes: without a topology there are none.
         let e = execute(&argv("run --app gdb --policy sp_1024 --replicas 2")).unwrap_err();
         assert!(e.to_string().contains("--nodes"), "{e}");
+    }
+
+    /// A cluster summary keeps its per-class fault counters only in
+    /// `nodes[].counters`; the heat cross-check must sum those rather
+    /// than skip them.
+    #[test]
+    fn check_trace_cross_checks_cluster_fault_counts() {
+        let (summary, heat) = (temp_path("xc-summary.json"), temp_path("xc-heat.json"));
+        execute(&argv(&format!(
+            "cluster --nodes 5 --active 2 --scale 0.1 --policy leap_1024 \
+             --summary-json {} --heat-out {}",
+            summary.display(),
+            heat.display()
+        )))
+        .unwrap();
+        let check = format!(
+            "check-trace --summary {} --heat {}",
+            summary.display(),
+            heat.display()
+        );
+        assert!(execute(&argv(&check)).unwrap().contains("heat OK"));
+        let text = std::fs::read_to_string(&summary).unwrap();
+        let mut bumped = String::new();
+        let mut rest = text.as_str();
+        while let Some(at) = rest.find("\"faults_remote\":") {
+            let (head, tail) = rest.split_at(at + "\"faults_remote\":".len());
+            let end = tail.find(|c: char| !c.is_ascii_digit()).unwrap();
+            let n: u64 = tail[..end].parse().unwrap();
+            bumped.push_str(head);
+            bumped.push_str(&(n + 1000).to_string());
+            rest = &tail[end..];
+        }
+        bumped.push_str(rest);
+        assert_ne!(bumped, text, "the nested run summaries carry faults_remote");
+        std::fs::write(&summary, bumped).unwrap();
+        let msg = execute(&argv(&check)).unwrap_err().to_string();
+        assert!(msg.contains("for faults_remote, summary says"), "{msg}");
+        for p in [summary, heat] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+
+    /// `heat --perfetto-out` writes counter (`"ph":"C"`) events, which
+    /// the trace checker accepts.
+    #[test]
+    fn heat_counter_trace_passes_check_trace() {
+        let counters = temp_path("counters.trace.json");
+        execute(&argv(&format!(
+            "heat --app gdb --policy leap_1024 --scale 0.1 --perfetto-out {}",
+            counters.display()
+        )))
+        .unwrap();
+        let checked = execute(&argv(&format!(
+            "check-trace --trace {}",
+            counters.display()
+        )))
+        .unwrap();
+        assert!(checked.contains("trace OK"), "{checked}");
+        assert!(checked.contains(" 0 spans)"), "{checked}");
+        let _ = std::fs::remove_file(&counters);
+    }
+
+    /// One real document per `check-trace` flag, in [`CHECKS`] order,
+    /// each written by the command that produces it.
+    fn real_documents() -> &'static [String; 6] {
+        static DOCS: std::sync::OnceLock<[String; 6]> = std::sync::OnceLock::new();
+        DOCS.get_or_init(|| {
+            let file = |name: &str| temp_path(&format!("mutation-{name}"));
+            let paths = CHECKS.map(|(flag, _)| file(flag));
+            let [trace, summary, metrics, attrib, exemplars, heat] = &paths;
+            let scenario = "--app gdb --policy leap_1024 --scale 0.05 --nodes 4 --active 2";
+            for command in [
+                format!(
+                    "explain {scenario} --worst 2 --slo 1ms --json {} --trace-out {}",
+                    exemplars.display(),
+                    trace.display()
+                ),
+                format!(
+                    "cluster {scenario} --slo 1ms --summary-json {} --metrics-out {} \
+                     --metrics-window 5ms --heat-out {}",
+                    summary.display(),
+                    metrics.display(),
+                    heat.display()
+                ),
+                format!("profile {scenario} --json {}", attrib.display()),
+            ] {
+                execute(&argv(&command)).unwrap();
+            }
+            paths.map(|p| {
+                let text = std::fs::read_to_string(&p).unwrap();
+                let _ = std::fs::remove_file(p);
+                text
+            })
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Truncating, deleting, duplicating or flipping bytes of a real
+        /// artifact makes its checker return `Ok` or `Err`, never panic.
+        #[test]
+        fn mutated_artifacts_never_panic_their_checkers(
+            edits in proptest::collection::vec(
+                (0u8..4, 0usize..1 << 20, 0usize..64, 1u8..=255),
+                1..4,
+            ),
+        ) {
+            let docs = real_documents();
+            let summary = JsonValue::parse(&docs[1]).unwrap();
+            for ((flag, check), text) in CHECKS.iter().zip(docs) {
+                assert_eq!(check(&JsonValue::parse(text).unwrap(), Some(&summary)).map(|_| ()), Ok(()), "{flag}");
+                let mut bytes = text.clone().into_bytes();
+                for &(kind, at, len, mask) in &edits {
+                    let at = at % (bytes.len() + 1);
+                    let end = (at + len).min(bytes.len());
+                    match kind {
+                        0 => bytes.truncate(at),
+                        1 => {
+                            bytes.drain(at..end);
+                        }
+                        2 => {
+                            let copy = bytes[at..end].to_vec();
+                            bytes.splice(at..at, copy);
+                        }
+                        _ => {
+                            if let Some(b) = bytes.get_mut(at) {
+                                *b ^= mask;
+                            }
+                        }
+                    }
+                }
+                if let Ok(doc) = JsonValue::parse(&String::from_utf8_lossy(&bytes)) {
+                    let _ = check(&doc, Some(&summary));
+                }
+            }
+        }
     }
 }

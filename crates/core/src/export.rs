@@ -4,14 +4,18 @@
 //! [`run_summary_json`] and [`cluster_summary_json`] render
 //! [`RunReport`]/[`ClusterReport`] into a stable schema
 //! (`gms-summary/v2`, which added the `reliability` section) that the
-//! CLI's `--summary-json` flag writes and its `check-trace` command
-//! re-parses with [`gms_obs::JsonValue`].
+//! CLI's `--summary-json` flag writes. [`check_summary`] re-verifies a
+//! parsed document, and [`check_heat_summary`] checks a heat map's
+//! totals against the summary's counters.
 //!
 //! Scalar counters go through [`CounterRegistry`], so a counter added
 //! to a report shows up in the summary without touching the renderer.
 
 use gms_net::NetResource;
-use gms_obs::{escape_json, CounterRegistry, LogHistogram, QuantileSketch};
+use gms_obs::{
+    escape_json, tail_json, CounterRegistry, HeatTotals, JsonValue, LogHistogram, QuantileSketch,
+    SloTally, TAIL_PERCENTILES,
+};
 use gms_units::Duration;
 
 use crate::cluster_sim::ClusterReport;
@@ -34,17 +38,10 @@ pub const SUMMARY_SCHEMA_V3: &str = "gms-summary/v3";
 /// The percentile keys every summary `page_wait` object carries, with
 /// the quantile each is computed at, in emission order. This is the
 /// single source of truth shared between the writer
-/// ([`histogram_json`]) and the CLI's `check-trace` validator, so a
-/// percentile cannot be added to one side and silently skipped by the
-/// other.
+/// ([`histogram_json`]) and [`check_summary`], so a percentile cannot
+/// be added to one side and silently skipped by the other.
 pub const WAIT_PERCENTILES: [(&str, f64); 3] =
     [("p50_ns", 0.50), ("p90_ns", 0.90), ("p99_ns", 0.99)];
-
-/// The far-tail percentile keys a v3 `tail` object carries (computed
-/// from the run's [`QuantileSketch`], whose 1/256 error bound makes
-/// them meaningful). Shared with the validator like
-/// [`WAIT_PERCENTILES`].
-pub const TAIL_PERCENTILES: [(&str, f64); 2] = [("p99_9_ns", 0.999), ("p99_99_ns", 0.9999)];
 
 /// Renders a latency histogram as a JSON object with exact extremes,
 /// the [`WAIT_PERCENTILES`] keys, and the raw `[low, count]` buckets.
@@ -65,44 +62,23 @@ pub fn histogram_json(h: &LogHistogram) -> String {
     )
 }
 
-/// Renders a wait sketch as a v3 `tail` object: the
-/// [`TAIL_PERCENTILES`] keys plus the exact count/max and the sketch's
-/// guaranteed relative error bound.
-#[must_use]
-pub fn tail_json(sketch: &QuantileSketch) -> String {
-    let tail: String = TAIL_PERCENTILES
-        .iter()
-        .map(|&(key, q)| format!("\"{key}\":{},", sketch.quantile(q)))
-        .collect();
-    format!(
-        "{{\"count\":{},{tail}\"max_ns\":{},\"rel_err\":{:.6}}}",
-        sketch.count(),
-        sketch.max(),
-        QuantileSketch::MAX_RELATIVE_ERROR
-    )
+/// SLO attainment of one run against a wait threshold.
+fn slo_tally(report: &RunReport, slo: Duration) -> SloTally {
+    SloTally::over(slo, report.fault_log.iter().map(|f| f.wait))
 }
 
-/// SLO attainment of one run against a wait threshold: how many faults
-/// completed within it, as a count and a fraction (an empty run attains
-/// trivially).
-#[must_use]
-pub fn slo_counters(report: &RunReport, slo: Duration) -> CounterRegistry {
-    let total = report.fault_log.len() as u64;
-    let under = report.fault_log.iter().filter(|f| f.wait <= slo).count() as u64;
-    let mut reg = CounterRegistry::new();
-    reg.set("threshold_ns", slo.as_nanos());
-    reg.set("faults", total);
-    reg.set("under", under);
-    reg.set_f64(
-        "attainment",
-        if total == 0 {
-            1.0
-        } else {
-            under as f64 / total as f64
-        },
-    );
-    reg
-}
+/// The per-class fault counters of a run summary, in the heat map's
+/// [`HeatTotals::faults`] order.
+const FAULT_COUNTERS: [&str; 4] = [
+    "faults_remote",
+    "faults_disk",
+    "faults_lazy_subpage",
+    "faults_degraded",
+];
+
+/// The prefetch counters of an adaptive run's summary:
+/// `prefetched_subpages` and `mispredicted_prefetch_bytes`.
+const PREFETCH_COUNTERS: [&str; 2] = ["prefetched_subpages", "mispredicted_prefetch_bytes"];
 
 /// The scalar counters of one run, in a fixed, documented order.
 #[must_use]
@@ -117,10 +93,13 @@ pub fn run_counters(report: &RunReport) -> CounterRegistry {
     reg.set("recv_overhead_ns", report.recv_overhead.as_nanos());
     reg.set("emulation_time_ns", report.emulation_time.as_nanos());
     reg.set("putpage_overhead_ns", report.putpage_overhead.as_nanos());
-    reg.set("faults_remote", report.faults.remote);
-    reg.set("faults_disk", report.faults.disk);
-    reg.set("faults_lazy_subpage", report.faults.lazy_subpage);
-    reg.set("faults_degraded", report.faults.degraded);
+    let f = &report.faults;
+    for (key, n) in FAULT_COUNTERS
+        .iter()
+        .zip([f.remote, f.disk, f.lazy_subpage, f.degraded])
+    {
+        reg.set(key, n);
+    }
     reg.set("evictions", report.evictions);
     reg.set("dirty_evictions", report.dirty_evictions);
     reg.set("wasted_transfers", report.wasted_transfers);
@@ -128,11 +107,8 @@ pub fn run_counters(report: &RunReport) -> CounterRegistry {
     // summaries keep their exact v2 shape (the golden-digest regression
     // pins them byte-for-byte).
     if is_adaptive_label(&report.policy) {
-        reg.set("prefetched_subpages", report.prefetched_subpages);
-        reg.set(
-            "mispredicted_prefetch_bytes",
-            report.mispredicted_prefetch_bytes,
-        );
+        reg.set(PREFETCH_COUNTERS[0], report.prefetched_subpages);
+        reg.set(PREFETCH_COUNTERS[1], report.mispredicted_prefetch_bytes);
     }
     reg.set_f64("wire_utilization", report.wire_utilization());
     reg.set_f64("overlap_io_fraction", report.overlap.io_fraction());
@@ -190,7 +166,7 @@ pub fn run_summary_json(report: &RunReport) -> String {
 pub fn run_summary_json_v3(report: &RunReport, slo: Option<Duration>) -> String {
     let mut extra = format!(",\"tail\":{}", tail_json(&report.wait_sketch()));
     if let Some(slo) = slo {
-        extra.push_str(&format!(",\"slo\":{}", slo_counters(report, slo).to_json()));
+        extra.push_str(&format!(",\"slo\":{}", slo_tally(report, slo).to_json()));
     }
     run_summary_with(report, SUMMARY_SCHEMA_V3, &extra)
 }
@@ -229,32 +205,19 @@ pub fn cluster_summary_json_v3(report: &ClusterReport, slo: Option<Duration>) ->
     }
     let mut extra = format!(",\"tail\":{}", tail_json(&merged));
     if let Some(slo) = slo {
-        let total: u64 = report.nodes.iter().map(|n| n.fault_log.len() as u64).sum();
-        let under: u64 = report
-            .nodes
-            .iter()
-            .map(|n| n.fault_log.iter().filter(|f| f.wait <= slo).count() as u64)
-            .sum();
         let nodes: Vec<String> = report
             .nodes
             .iter()
             .enumerate()
-            .map(|(i, n)| {
-                format!(
-                    "{{\"node\":{i},\"slo\":{}}}",
-                    slo_counters(n, slo).to_json()
-                )
-            })
+            .map(|(i, n)| format!("{{\"node\":{i},\"slo\":{}}}", slo_tally(n, slo).to_json()))
             .collect();
+        let waits = report
+            .nodes
+            .iter()
+            .flat_map(|n| n.fault_log.iter().map(|f| f.wait));
         extra.push_str(&format!(
-            ",\"slo\":{{\"threshold_ns\":{},\"faults\":{total},\"under\":{under},\"attainment\":{:.6},\"nodes\":[{}]}}",
-            slo.as_nanos(),
-            if total == 0 {
-                1.0
-            } else {
-                under as f64 / total as f64
-            },
-            nodes.join(",")
+            ",\"slo\":{}",
+            SloTally::over(slo, waits).to_json_with(&format!(",\"nodes\":[{}]", nodes.join(",")))
         ));
     }
     cluster_summary_with(report, SUMMARY_SCHEMA_V3, &extra)
@@ -273,57 +236,25 @@ fn cluster_summary_with(report: &ClusterReport, schema: &str, extra: &str) -> St
     reg.set_f64("wire_utilization", report.net.wire_utilization);
     reg.set_f64("min_node_utilization", report.net.min_node_utilization);
     reg.set_f64("max_node_utilization", report.net.max_node_utilization);
+    // Requester-side counters sum over the active nodes.
+    let sum = |count: fn(&RunReport) -> u64| report.nodes.iter().map(count).sum::<u64>();
     if report
         .nodes
         .first()
         .is_some_and(|n| is_adaptive_label(&n.policy))
     {
-        reg.set(
-            "prefetched_subpages",
-            report
-                .nodes
-                .iter()
-                .map(|n| n.prefetched_subpages)
-                .sum::<u64>(),
-        );
-        reg.set(
-            "mispredicted_prefetch_bytes",
-            report
-                .nodes
-                .iter()
-                .map(|n| n.mispredicted_prefetch_bytes)
-                .sum::<u64>(),
-        );
+        reg.set(PREFETCH_COUNTERS[0], sum(|n| n.prefetched_subpages));
+        reg.set(PREFETCH_COUNTERS[1], sum(|n| n.mispredicted_prefetch_bytes));
     }
 
-    // Requester-side reliability counters sum over the active nodes;
-    // crash losses are cluster-wide (every node report carries the same
+    // Crash losses are cluster-wide (every node report carries the same
     // shared-GMS statistics), so they are taken once.
     let mut rel = CounterRegistry::new();
-    rel.set(
-        "timeouts",
-        report.nodes.iter().map(|n| n.timeouts).sum::<u64>(),
-    );
-    rel.set(
-        "retries",
-        report.nodes.iter().map(|n| n.retries).sum::<u64>(),
-    );
-    rel.set(
-        "failovers",
-        report.nodes.iter().map(|n| n.failovers).sum::<u64>(),
-    );
-    rel.set(
-        "degraded_fetches",
-        report.nodes.iter().map(|n| n.faults.degraded).sum::<u64>(),
-    );
-    rel.set(
-        "fell_back_to_disk",
-        report
-            .nodes
-            .iter()
-            .map(|n| n.fell_back_to_disk)
-            .sum::<u64>(),
-    );
+    rel.set("timeouts", sum(|n| n.timeouts));
+    rel.set("retries", sum(|n| n.retries));
+    rel.set("failovers", sum(|n| n.failovers));
+    rel.set("degraded_fetches", sum(|n| n.faults.degraded));
+    rel.set("fell_back_to_disk", sum(|n| n.fell_back_to_disk));
     rel.set(
         "pages_lost_to_crash",
         report
@@ -378,6 +309,77 @@ fn cluster_summary_with(report: &ClusterReport, schema: &str, extra: &str) -> St
         per_node.join(","),
         nodes.join(",")
     )
+}
+
+/// Checks a `gms-summary/v2` or `/v3` document: the `page_wait`
+/// histogram keys, a `counters` object and, for v3, the `tail` keys
+/// and any `slo` object. Returns `"kind {kind}"`.
+pub fn check_summary(doc: &JsonValue) -> Result<String, String> {
+    let schema = doc.get_str("schema");
+    if !matches!(schema, Some(SUMMARY_SCHEMA | SUMMARY_SCHEMA_V3)) {
+        return Err(format!(
+            "schema {schema:?}, expected {SUMMARY_SCHEMA:?} or {SUMMARY_SCHEMA_V3:?}"
+        ));
+    }
+    // `count`, the shared percentile keys, then `max_ns`, as integers.
+    let quantiles = |obj: &JsonValue, name: &str, keys: &[(&str, f64)]| {
+        let mut keys = std::iter::once("count")
+            .chain(keys.iter().map(|&(key, _)| key))
+            .chain(std::iter::once("max_ns"));
+        match keys.find(|key| obj.get_u64(key).is_none()) {
+            Some(key) => Err(format!("{name}.{key} missing or not an integer")),
+            None => Ok(()),
+        }
+    };
+    let wait = doc.get("page_wait").ok_or("no page_wait histogram")?;
+    quantiles(wait, "page_wait", &WAIT_PERCENTILES)?;
+    if doc.get("counters").and_then(JsonValue::as_object).is_none() {
+        return Err("no counters object".to_owned());
+    }
+    if schema == Some(SUMMARY_SCHEMA_V3) {
+        let tail = doc.get("tail").ok_or("v3 summary has no tail object")?;
+        quantiles(tail, "tail", &TAIL_PERCENTILES)?;
+        if tail.get_f64("rel_err").is_none() {
+            return Err("tail.rel_err missing".to_owned());
+        }
+        if let Some(slo) = doc.get("slo") {
+            SloTally::check(slo, "slo")?;
+        }
+    }
+    Ok(format!("kind {}", doc.get_str("kind").unwrap_or("?")))
+}
+
+/// Checks a heat map's totals against a summary of the same run: the
+/// per-class fault counts and, for adaptive policies, the prefetch
+/// counters must agree exactly. A cluster summary keeps its fault
+/// counters in the per-node run summaries under `nodes`, so those are
+/// summed.
+pub fn check_heat_summary(summary: &JsonValue, heat: &HeatTotals) -> Result<(), String> {
+    let counters: Vec<&JsonValue> = if summary.get_str("kind") == Some("cluster") {
+        let nodes = summary
+            .get_array("nodes")
+            .ok_or("cluster summary has no nodes array")?;
+        nodes.iter().filter_map(|n| n.get("counters")).collect()
+    } else {
+        summary.get("counters").into_iter().collect()
+    };
+    let expected = FAULT_COUNTERS.iter().zip(heat.faults).chain(
+        PREFETCH_COUNTERS
+            .iter()
+            .zip([heat.prefetched_subpages, heat.wasted_bytes]),
+    );
+    for (key, heat_val) in expected {
+        // Adaptive-only counters are absent from static-policy
+        // summaries; only compare the keys the summary carries.
+        let values: Vec<u64> = counters.iter().filter_map(|c| c.get_u64(key)).collect();
+        let v: u64 = values.iter().sum();
+        if !values.is_empty() && v != heat_val {
+            return Err(format!(
+                "heat counts {heat_val} for {key}, summary says {v}"
+            ));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -523,6 +525,7 @@ mod tests {
         assert!(under <= faults);
         let attainment = slo.get("attainment").unwrap().as_f64().unwrap();
         assert!((0.0..=1.0).contains(&attainment));
+        assert_eq!(check_summary(&doc), Ok("kind run".to_owned()));
         // Without a threshold there is no slo section, but tail stays.
         let bare = run_summary_json_v3(&report, None);
         let doc = JsonValue::parse(&bare).expect("valid JSON");
@@ -574,6 +577,7 @@ mod tests {
             per_node_faults,
             slo.get("faults").unwrap().as_u64().unwrap()
         );
+        assert_eq!(check_summary(&doc), Ok("kind cluster".to_owned()));
     }
 
     #[test]

@@ -29,7 +29,7 @@ use gms_units::{Duration, NodeId, SimTime};
 
 use crate::counters::CounterRegistry;
 use crate::event::{Event, FaultClass, ResourceKind};
-use crate::json::escape_json;
+use crate::json::{check_schema, escape_json, JsonValue};
 
 /// Schema tag of the JSON rendering produced by [`attribution_json`].
 pub const ATTRIB_SCHEMA: &str = "gms-attrib/v1";
@@ -372,7 +372,8 @@ where
 }
 
 impl PrefetchStats {
-    /// JSON object rendering, embedded by the CLI profile report.
+    /// JSON object rendering, the `prefetch` member of
+    /// [`attribution_json`]'s document.
     #[must_use]
     pub fn to_json(&self) -> String {
         format!(
@@ -700,9 +701,10 @@ fn close_fault(
 
 /// Renders an attribution report as a `gms-attrib/v1` JSON document:
 /// the conserved totals, the per-component aggregation (overall and
-/// per class), and the per-node aggregation.
+/// per class), the per-node aggregation and, for adaptive policies,
+/// the `prefetch` telemetry as a sibling object.
 #[must_use]
-pub fn attribution_json(report: &AttributionReport) -> String {
+pub fn attribution_json(report: &AttributionReport, prefetch: Option<&PrefetchStats>) -> String {
     fn rows_json(rows: &[ComponentRow]) -> String {
         let parts: Vec<String> = rows
             .iter()
@@ -763,17 +765,54 @@ pub fn attribution_json(report: &AttributionReport) -> String {
         .collect();
 
     format!(
-        "{{\"schema\":\"{ATTRIB_SCHEMA}\",\"totals\":{},\"components\":{},\"by_class\":[{}],\"by_node\":{}}}",
+        "{{\"schema\":\"{ATTRIB_SCHEMA}\",\"totals\":{},\"components\":{},\"by_class\":[{}],\"by_node\":{}{}}}",
         totals.to_json(),
         rows_json(&report.by_component(None)),
         by_class.join(","),
-        rows_json(&report.by_node())
+        rows_json(&report.by_node()),
+        prefetch.map_or(String::new(), |p| format!(",\"prefetch\":{}", p.to_json()))
     )
+}
+
+/// Checks a `gms-attrib/v1` document: `queue_ns + service_ns` equals
+/// `total_wait_ns`, and the components sum to it too. Returns
+/// `"{faults} faults, conserved"`.
+pub fn check_attrib(doc: &JsonValue) -> Result<String, String> {
+    check_schema(doc, ATTRIB_SCHEMA)?;
+    let totals = doc.get("totals").ok_or("no totals object")?;
+    let total_of = |key: &str| {
+        totals
+            .get_u64(key)
+            .ok_or_else(|| format!("totals.{key} missing"))
+    };
+    let faults = total_of("faults")?;
+    let total = total_of("total_wait_ns")?;
+    let queue = total_of("queue_ns")?;
+    let service = total_of("service_ns")?;
+    if queue + service != total {
+        return Err(format!(
+            "queue_ns {queue} + service_ns {service} != total_wait_ns {total}"
+        ));
+    }
+    let components = doc.get_array("components").ok_or("no components array")?;
+    let mut sum = 0u64;
+    for (i, c) in components.iter().enumerate() {
+        for key in ["queue_ns", "service_ns"] {
+            sum += c
+                .get_u64(key)
+                .ok_or_else(|| format!("component {i} missing {key}"))?;
+        }
+    }
+    if sum != total {
+        return Err(format!("components sum to {sum} ns, totals say {total} ns"));
+    }
+    Ok(format!("{faults} faults, conserved"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -1035,7 +1074,7 @@ mod tests {
     #[test]
     fn attribution_json_is_valid_and_conserved() {
         let report = attribute(&clean_fetch()).expect("valid stream");
-        let json = attribution_json(&report);
+        let json = attribution_json(&report, None);
         let doc = crate::json::JsonValue::parse(&json).expect("valid JSON");
         assert_eq!(doc.get("schema").unwrap().as_str(), Some(ATTRIB_SCHEMA));
         let total = doc
@@ -1054,5 +1093,142 @@ mod tests {
             })
             .sum();
         assert_eq!(sum, total);
+        assert_eq!(check_attrib(&doc), Ok("1 faults, conserved".to_owned()));
+        // Adaptive runs carry their prefetch telemetry as a last member.
+        let stats = PrefetchStats {
+            decisions: 2,
+            ..PrefetchStats::default()
+        };
+        assert_eq!(
+            attribution_json(&report, Some(&stats)),
+            format!(
+                "{},\"prefetch\":{}}}",
+                &json[..json.len() - 1],
+                stats.to_json()
+            )
+        );
+    }
+
+    #[test]
+    fn check_attrib_rejects_broken_sums() {
+        let report = attribute(&clean_fetch()).expect("valid stream");
+        let json = attribution_json(&report, None);
+        let check = |doc: &str| check_attrib(&crate::json::JsonValue::parse(doc).unwrap());
+        let bad = json.replacen("\"total_wait_ns\":", "\"total_wait_ns\":9", 1);
+        assert!(check(&bad).unwrap_err().contains("!= total_wait_ns"));
+        let bad = json.replacen("\"service_ns\":", "\"service_ns\":1", 2);
+        assert!(check(&bad).is_err());
+        assert!(check(&json.replace(ATTRIB_SCHEMA, "gms-attrib/v0"))
+            .unwrap_err()
+            .starts_with("schema"));
+    }
+
+    /// Conserved fault chains: remote fetches through the seven
+    /// pipeline stages after a random retry delay, with random queueing
+    /// and service per hop; disk faults after an optional timeout; each
+    /// followed by an arrival, a stall on it and a policy event.
+    fn arb_chains() -> impl Strategy<Value = Vec<Event>> {
+        let fault = (
+            prop::bool::ANY,
+            (0u32..3, 0u64..64),
+            prop::collection::vec(0u64..500, 7..8),
+            prop::collection::vec(1u64..500, 7..8),
+            0u64..300,
+            0u8..4,
+        );
+        prop::collection::vec(fault, 0..24).prop_map(|faults| {
+            let (mut events, mut now) = (Vec::new(), 0u64);
+            for (remote, (node, page), queue, service, delay, policy) in faults {
+                let (id, server) = (NodeId::new(node), node + 1);
+                let fault_at = now;
+                events.push(Event::Fault {
+                    node: id,
+                    page,
+                    subpage: 0,
+                    class: if remote {
+                        FaultClass::Remote
+                    } else {
+                        FaultClass::Disk
+                    },
+                    at_ref: 0,
+                    at: t(now),
+                });
+                now += delay;
+                if remote {
+                    let stages = [
+                        (node, ResourceKind::Cpu, "fault+request"),
+                        (server, ResourceKind::Cpu, "process-request"),
+                        (server, ResourceKind::Cpu, "send-setup"),
+                        (server, ResourceKind::DmaOut, "dma-out"),
+                        (node, ResourceKind::WireIn, "data"),
+                        (node, ResourceKind::DmaIn, "dma-in"),
+                        (node, ResourceKind::Cpu, "receive+resume"),
+                    ];
+                    for ((n, r, what), (&q, &s)) in
+                        stages.into_iter().zip(queue.iter().zip(&service))
+                    {
+                        events.push(occ(n, r, what, now, now + q, now + q + s));
+                        now += q + s;
+                    }
+                } else {
+                    if delay % 2 == 1 {
+                        events.push(Event::Timeout {
+                            node: id,
+                            page,
+                            attempt: 1,
+                            at: t(now),
+                        });
+                    }
+                    now += service[0];
+                }
+                events.push(Event::Restart {
+                    node: id,
+                    page,
+                    at: t(now),
+                    wait: Duration::from_nanos(now - fault_at),
+                });
+                events.push(Event::Arrival {
+                    node: id,
+                    page,
+                    msg: 0,
+                    at: t(now),
+                    subpages: 0b10,
+                });
+                events.push(Event::Stall {
+                    node: id,
+                    page,
+                    start: t(now),
+                    end: t(now + queue[0]),
+                });
+                now += queue[0];
+                events.push(crate::event::sample_event(
+                    13 + policy % 2,
+                    node,
+                    page,
+                    now,
+                    0,
+                ));
+            }
+            events
+        })
+    }
+
+    proptest! {
+        /// Whatever conserved stream a run records, its attribution
+        /// document passes the checker, with or without prefetch
+        /// telemetry.
+        #[test]
+        fn attribution_of_any_stream_passes_the_checker(events in arb_chains()) {
+            let report = attribute(&events).expect("conserved chains");
+            let stats = prefetch_stats(&events);
+            for prefetch in [None, Some(&stats)] {
+                let doc = crate::json::JsonValue::parse(&attribution_json(&report, prefetch))
+                    .expect("valid JSON");
+                prop_assert_eq!(
+                    check_attrib(&doc),
+                    Ok(format!("{} faults, conserved", report.faults.len()))
+                );
+            }
+        }
     }
 }

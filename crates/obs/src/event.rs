@@ -455,9 +455,195 @@ impl Event {
     }
 }
 
+/// The number of [`Event`] variants [`sample_event`] builds.
+#[cfg(test)]
+pub(crate) const EVENT_VARIANTS: u8 = 18;
+
+/// An event of variant `kind` (in declaration order, modulo
+/// [`EVENT_VARIANTS`]) at `at_ns`; spans and waits last `len_ns`. The
+/// exporters' property tests build their streams from it.
+#[cfg(test)]
+pub(crate) fn sample_event(kind: u8, node: u32, page: u64, at_ns: u64, len_ns: u64) -> Event {
+    let (at, other) = (SimTime::from_nanos(at_ns), NodeId::new(node + 1));
+    let (end, wait) = (
+        SimTime::from_nanos(at_ns + len_ns),
+        Duration::from_nanos(len_ns),
+    );
+    let node = NodeId::new(node);
+    let small = (page % 8) as u8;
+    match kind % EVENT_VARIANTS {
+        0 => Event::Fault {
+            node,
+            page,
+            subpage: small,
+            class: [
+                FaultClass::Remote,
+                FaultClass::Disk,
+                FaultClass::LazySubpage,
+                FaultClass::Degraded,
+            ][(page % 4) as usize],
+            at_ref: at_ns / 7,
+            at,
+        },
+        1 => Event::GetPage {
+            node,
+            server: other,
+            page,
+            at,
+        },
+        2 => Event::Restart {
+            node,
+            page,
+            at: end,
+            wait,
+        },
+        3 => Event::Arrival {
+            node,
+            page,
+            msg: small,
+            at,
+            subpages: (page as u32).wrapping_mul(2_654_435_769),
+        },
+        4 => Event::Stall {
+            node,
+            page,
+            start: at,
+            end,
+        },
+        5 => Event::PutPage {
+            node,
+            custodian: other,
+            page,
+            dirty: page.is_multiple_of(2),
+            at,
+        },
+        6 => Event::Occupancy {
+            node,
+            resource: ResourceKind::ALL[(page % 5) as usize],
+            what: "data",
+            ready: at,
+            start: at,
+            end,
+        },
+        7 => Event::Timeout {
+            node,
+            page,
+            attempt: 1,
+            at,
+        },
+        8 => Event::Retry {
+            node,
+            page,
+            attempt: 2,
+            at,
+        },
+        9 => Event::Failover {
+            node,
+            custodian: other,
+            page,
+            at,
+        },
+        10 => Event::NodeDown {
+            node,
+            at,
+            pages_lost: page,
+        },
+        11 => Event::NodeUp { node, at },
+        12 => Event::DegradedFetch {
+            node,
+            page,
+            subpage: small,
+            at,
+        },
+        13 => Event::PolicyDecision {
+            node,
+            page,
+            choice: [
+                PolicyChoice::Stride,
+                PolicyChoice::Fallback,
+                PolicyChoice::Migrate,
+                PolicyChoice::Demand,
+            ][(page % 4) as usize],
+            delta: small as i8 - 4,
+            at,
+        },
+        14 => Event::Prefetch {
+            node,
+            page,
+            subpages: 0b110,
+            sub_bytes: 1024,
+            unused: page.is_multiple_of(3),
+            at,
+        },
+        15 => Event::ReplicaWrite {
+            node,
+            holder: other,
+            page,
+            copy: 1,
+            at,
+        },
+        16 => Event::Repair {
+            node,
+            target: other,
+            page,
+            at,
+        },
+        _ => Event::DirectoryRebuild {
+            node,
+            entries: page,
+            at,
+        },
+    }
+}
+
+/// Arbitrary streams of [`sample_event`]s of every variant, on up to
+/// three nodes, in no particular order.
+#[cfg(test)]
+pub(crate) fn arb_events() -> impl proptest::prelude::Strategy<Value = Vec<Event>> {
+    use proptest::prelude::*;
+    let event = (
+        0..EVENT_VARIANTS,
+        0u32..3,
+        0u64..512,
+        0u64..5_000_000,
+        0u64..200_000,
+    )
+        .prop_map(|(kind, node, page, at, len)| sample_event(kind, node, page, at, len));
+    prop::collection::vec(event, 0..120)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `sample_event` builds one event of each variant; the exhaustive
+    /// match makes a new variant fail to compile here until it is added.
+    #[test]
+    fn samples_cover_every_variant() {
+        let variant = |e: Event| match e {
+            Event::Fault { .. } => 0,
+            Event::GetPage { .. } => 1,
+            Event::Restart { .. } => 2,
+            Event::Arrival { .. } => 3,
+            Event::Stall { .. } => 4,
+            Event::PutPage { .. } => 5,
+            Event::Occupancy { .. } => 6,
+            Event::Timeout { .. } => 7,
+            Event::Retry { .. } => 8,
+            Event::Failover { .. } => 9,
+            Event::NodeDown { .. } => 10,
+            Event::NodeUp { .. } => 11,
+            Event::DegradedFetch { .. } => 12,
+            Event::PolicyDecision { .. } => 13,
+            Event::Prefetch { .. } => 14,
+            Event::ReplicaWrite { .. } => 15,
+            Event::Repair { .. } => 16,
+            Event::DirectoryRebuild { .. } => 17,
+        };
+        for kind in 0..EVENT_VARIANTS {
+            assert_eq!(variant(sample_event(kind, 0, 1, 0, 1)), kind);
+        }
+    }
 
     #[test]
     fn resource_index_matches_all_order() {

@@ -35,14 +35,21 @@
 //!
 //! Dropped candidates recycle their event buffers through a free pool,
 //! so steady-state recording allocates only when a chain is retained.
+//!
+//! [`explain_json`] renders the retained exemplars, decomposed, as the
+//! `gms-explain/v1` document, and [`check_explain`] re-verifies it.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use gms_units::{Duration, NodeId, SimTime};
 
+use crate::attrib::FaultAttribution;
 use crate::event::{Event, FaultClass};
+use crate::json::{check_schema, escape_json, JsonValue};
 use crate::recorder::Recorder;
+use crate::sketch::{tail_json, QuantileSketch};
 
 /// Multiply-xor hasher for the owner map. The map is probed on every
 /// arrival and stall — the hot path of an always-on recorder — and the
@@ -93,6 +100,100 @@ pub struct WindowTally {
     pub violations: u64,
     /// Total wait of the window's faults.
     pub wait: Duration,
+}
+
+/// Faults tallied against a wait threshold: the one place SLO
+/// attainment is computed, rendered as JSON and checked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SloTally {
+    /// The wait a fault must not exceed.
+    pub threshold: Duration,
+    /// Faults tallied.
+    pub faults: u64,
+    /// Faults whose wait was within the threshold.
+    pub under: u64,
+}
+
+impl SloTally {
+    /// An empty tally against `threshold`.
+    #[must_use]
+    pub fn new(threshold: Duration) -> Self {
+        Self {
+            threshold,
+            faults: 0,
+            under: 0,
+        }
+    }
+
+    /// Tallies every wait in `waits` against `threshold`.
+    #[must_use]
+    pub fn over(threshold: Duration, waits: impl IntoIterator<Item = Duration>) -> Self {
+        let mut tally = Self::new(threshold);
+        for wait in waits {
+            tally.record(wait);
+        }
+        tally
+    }
+
+    /// Counts one fault that waited `wait`.
+    pub fn record(&mut self, wait: Duration) {
+        self.faults += 1;
+        self.under += u64::from(wait <= self.threshold);
+    }
+
+    /// The fraction of faults within the threshold; an empty tally
+    /// attains trivially.
+    #[must_use]
+    pub fn attainment(&self) -> f64 {
+        if self.faults == 0 {
+            1.0
+        } else {
+            self.under as f64 / self.faults as f64
+        }
+    }
+
+    /// The JSON object `{"threshold_ns","faults","under","attainment"}`.
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        self.to_json_with("")
+    }
+
+    /// [`SloTally::to_json`] with `extra` (fields with their leading
+    /// comma) spliced in after `attainment`.
+    #[must_use]
+    pub fn to_json_with(&self, extra: &str) -> String {
+        format!(
+            "{{\"threshold_ns\":{},\"faults\":{},\"under\":{},\"attainment\":{:.6}{extra}}}",
+            self.threshold.as_nanos(),
+            self.faults,
+            self.under,
+            self.attainment()
+        )
+    }
+
+    /// Checks an SLO object named `what`: integer threshold and counts
+    /// with `under <= faults`, and an attainment in `[0, 1]`.
+    pub fn check(slo: &JsonValue, what: &str) -> Result<(), String> {
+        let int_of = |key: &str| {
+            slo.get_u64(key)
+                .ok_or_else(|| format!("{what}.{key} missing"))
+        };
+        int_of("threshold_ns")?;
+        let faults = int_of("faults")?;
+        let under = int_of("under")?;
+        if under > faults {
+            return Err(format!(
+                "{what}.under {under} exceeds {what}.faults {faults}"
+            ));
+        }
+        let attainment = slo
+            .get_f64("attainment")
+            .ok_or_else(|| format!("{what}.attainment missing"))?;
+        if !(0.0..=1.0).contains(&attainment) {
+            return Err(format!("{what}.attainment {attainment} out of [0, 1]"));
+        }
+        Ok(())
+    }
 }
 
 /// One retained worst-fault exemplar: identity, final wait, and the
@@ -758,6 +859,223 @@ impl Recorder for FlightRecorder {
     }
 }
 
+/// Schema tag of the document [`explain_json`] writes.
+pub const EXPLAIN_SCHEMA: &str = "gms-explain/v1";
+
+/// The Table-2 components of an exemplar's wait, in emission order.
+/// They sum exactly to its `wait_ns`, which [`check_explain`] verifies.
+const EXEMPLAR_COMPONENTS: [&str; 6] = [
+    "queue_ns",
+    "service_ns",
+    "transit_ns",
+    "retry_ns",
+    "disk_ns",
+    "stall_ns",
+];
+
+/// The scalar header fields of a `gms-explain/v1` document, bundled
+/// so [`explain_json`] stays a renderer rather than a long call.
+#[derive(Debug, Clone, Copy)]
+pub struct ExplainDoc<'a> {
+    /// `"run"` or `"cluster"`.
+    pub kind: &'static str,
+    /// The fetch policy's label.
+    pub policy: &'a str,
+    /// The memory configuration's label.
+    pub memory: &'a str,
+    /// SLO attainment over every fault of the run.
+    pub slo: SloTally,
+    /// SLO attainment per fault class label, in first-seen order.
+    pub classes: &'a [(&'static str, SloTally)],
+}
+
+/// Renders the `gms-explain/v1` document: totals, far-tail
+/// percentiles, SLO attainment (overall, per class, per node/window),
+/// and one entry per exemplar whose six Table-2 `components` sum exactly
+/// to its `wait_ns`.
+#[must_use]
+pub fn explain_json(
+    doc: &ExplainDoc<'_>,
+    decomposed: &[(&Exemplar<'_>, &FaultAttribution)],
+    flight: &FlightRecorder,
+    sketch: &QuantileSketch,
+) -> String {
+    let mut s = format!(
+        "{{\"schema\":\"{EXPLAIN_SCHEMA}\",\"kind\":\"{}\",\"policy\":\"{}\",\"memory\":\"{}\",\
+         \"worst\":{},\"window_ns\":{},\"totals\":{{\"faults\":{},\"wait_ns\":{},\
+         \"retained\":{},\"retained_events\":{},\"dropped\":{}}},\"tail\":{},\"slo\":{}",
+        doc.kind,
+        escape_json(doc.policy),
+        escape_json(doc.memory),
+        flight.keep(),
+        flight
+            .window()
+            .map_or("null".to_owned(), |w| w.as_nanos().to_string()),
+        doc.slo.faults,
+        flight.total_wait().as_nanos(),
+        decomposed.len(),
+        flight.retained_events(),
+        flight.dropped(),
+        tail_json(sketch),
+        doc.slo.to_json(),
+    );
+    let classes: Vec<String> = doc
+        .classes
+        .iter()
+        .map(|(label, t)| {
+            format!(
+                "{{\"class\":\"{label}\",\"faults\":{},\"under\":{}}}",
+                t.faults, t.under
+            )
+        })
+        .collect();
+    let _ = write!(s, ",\"classes\":[{}]", classes.join(","));
+    let nodes: Vec<String> = flight
+        .windows()
+        .map(|(node, windows)| {
+            let faults: u64 = windows.iter().map(|w| w.faults).sum();
+            let violations: u64 = windows.iter().map(|w| w.violations).sum();
+            let wait: Duration = windows.iter().map(|w| w.wait).sum();
+            let rendered: Vec<String> = windows
+                .iter()
+                .map(|w| {
+                    format!(
+                        "{{\"window\":{},\"faults\":{},\"violations\":{},\"wait_ns\":{}}}",
+                        w.window,
+                        w.faults,
+                        w.violations,
+                        w.wait.as_nanos()
+                    )
+                })
+                .collect();
+            format!(
+                "{{\"node\":{},\"faults\":{faults},\"violations\":{violations},\
+                 \"wait_ns\":{},\"windows\":[{}]}}",
+                node.index(),
+                wait.as_nanos(),
+                rendered.join(",")
+            )
+        })
+        .collect();
+    let _ = write!(s, ",\"nodes\":[{}]", nodes.join(","));
+    let rendered: Vec<String> = decomposed
+        .iter()
+        .enumerate()
+        .map(|(rank, (ex, f))| {
+            let values = [
+                f.queue_total(),
+                f.service_total(),
+                f.transit,
+                f.retry_wait,
+                f.disk_service,
+                f.stall_wait,
+            ];
+            let components: Vec<String> = EXEMPLAR_COMPONENTS
+                .iter()
+                .zip(values)
+                .map(|(key, v)| format!("\"{key}\":{}", v.as_nanos()))
+                .collect();
+            format!(
+                "{{\"rank\":{},\"node\":{},\"page\":{},\"subpage\":{},\"class\":\"{}\",\
+                 \"at_ref\":{},\"fault_at_ns\":{},\"window\":{},\"wait_ns\":{},\"hops\":{},\
+                 \"components\":{{{}}}}}",
+                rank + 1,
+                ex.node.index(),
+                ex.page,
+                ex.subpage,
+                ex.class.label(),
+                ex.at_ref,
+                ex.fault_at.as_nanos(),
+                ex.window,
+                ex.wait.as_nanos(),
+                f.hops.len(),
+                components.join(",")
+            )
+        })
+        .collect();
+    let _ = write!(s, ",\"exemplars\":[{}]}}", rendered.join(","));
+    s
+}
+
+/// Checks a `gms-explain/v1` document: a valid SLO object, per-node
+/// tallies that partition the totals, one exemplar per retained chain,
+/// and each exemplar's six Table-2 `components` summing to its wait.
+/// Returns `"{retained} of {faults} faults retained, conserved"`.
+pub fn check_explain(doc: &JsonValue) -> Result<String, String> {
+    check_schema(doc, EXPLAIN_SCHEMA)?;
+    let totals = doc.get("totals").ok_or("no totals object")?;
+    let total_of = |key: &str| {
+        totals
+            .get_u64(key)
+            .ok_or_else(|| format!("totals.{key} missing"))
+    };
+    let faults = total_of("faults")?;
+    let wait = total_of("wait_ns")?;
+    let retained = total_of("retained")?;
+    SloTally::check(doc.get("slo").ok_or("no slo object")?, "slo")?;
+    // Per-node tallies must partition the run's totals: the SLO
+    // accounting covers every fault, not just the retained ones.
+    let nodes = doc.get_array("nodes").ok_or("no nodes array")?;
+    let (mut node_faults, mut node_wait) = (0u64, 0u64);
+    for (i, n) in nodes.iter().enumerate() {
+        let int_of = |key: &str| {
+            n.get_u64(key)
+                .ok_or_else(|| format!("node {i} missing integer {key}"))
+        };
+        node_faults += int_of("faults")?;
+        int_of("violations")?;
+        node_wait += int_of("wait_ns")?;
+        let windows = n
+            .get_array("windows")
+            .ok_or_else(|| format!("node {i} has no windows"))?;
+        for (j, w) in windows.iter().enumerate() {
+            match (w.get_u64("faults"), w.get_u64("violations")) {
+                (Some(wf), Some(wv)) if wv <= wf => {}
+                _ => {
+                    return Err(format!(
+                        "node {i} window {j} has malformed fault/violation counts"
+                    ))
+                }
+            }
+        }
+    }
+    if node_faults != faults || node_wait != wait {
+        return Err(format!(
+            "node tallies ({node_faults} faults, {node_wait} ns) do not partition \
+             totals ({faults} faults, {wait} ns)"
+        ));
+    }
+    // Each exemplar's Table-2 components must sum to its recorded
+    // wait, the conservation invariant `explain` promises.
+    let list = doc.get_array("exemplars").ok_or("no exemplars array")?;
+    if list.len() as u64 != retained {
+        return Err(format!(
+            "{} exemplars but totals.retained = {retained}",
+            list.len()
+        ));
+    }
+    for (i, ex) in list.iter().enumerate() {
+        let wait = ex
+            .get_u64("wait_ns")
+            .ok_or_else(|| format!("exemplar {i} has no wait_ns"))?;
+        let components = ex
+            .get("components")
+            .ok_or_else(|| format!("exemplar {i} has no components"))?;
+        let mut sum = 0u64;
+        for key in EXEMPLAR_COMPONENTS {
+            sum += components
+                .get_u64(key)
+                .ok_or_else(|| format!("exemplar {i} missing {key}"))?;
+        }
+        if sum != wait {
+            return Err(format!(
+                "exemplar {i} components sum to {sum} ns but wait_ns is {wait}"
+            ));
+        }
+    }
+    Ok(format!("{retained} of {faults} faults retained, conserved"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -967,5 +1285,26 @@ mod tests {
         assert_eq!(rec.total_faults(), 1);
         assert_eq!(rec.exemplars()[0].page, 2);
         assert_eq!(rec.total_wait(), Duration::from_nanos(700));
+    }
+
+    #[test]
+    fn tally_renders_and_checks() {
+        let ms = Duration::from_millis(1);
+        let tally = SloTally::over(ms, [ms, ms + ms, Duration::ZERO]);
+        assert_eq!((tally.faults, tally.under), (3, 2));
+        assert_eq!(
+            tally.to_json(),
+            "{\"threshold_ns\":1000000,\"faults\":3,\"under\":2,\"attainment\":0.666667}"
+        );
+        let doc = JsonValue::parse(&tally.to_json()).unwrap();
+        assert_eq!(SloTally::check(&doc, "slo"), Ok(()));
+        assert_eq!(SloTally::new(ms).attainment(), 1.0);
+        let bad =
+            JsonValue::parse("{\"threshold_ns\":1,\"faults\":1,\"under\":2,\"attainment\":1.0}")
+                .unwrap();
+        assert_eq!(
+            SloTally::check(&bad, "slo"),
+            Err("slo.under 2 exceeds slo.faults 1".to_owned())
+        );
     }
 }

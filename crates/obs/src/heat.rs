@@ -43,12 +43,14 @@
 //! tracks next to the hot-region fault-rate counters.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::hash::BuildHasherDefault;
 
 use gms_units::{Duration, NodeId};
 
 use crate::event::{Event, FaultClass, ResourceKind};
 use crate::flight::OwnerHasher;
+use crate::json::{check_schema, JsonValue};
 use crate::recorder::Recorder;
 use crate::sketch::QuantileSketch;
 
@@ -116,6 +118,20 @@ impl RegionStats {
     #[must_use]
     pub fn refaults(&self) -> u64 {
         self.refault.count()
+    }
+
+    /// The region's additive counters, in [`SUM_KEYS`] order.
+    fn sums(&self) -> [u64; 8] {
+        [
+            self.first_touches,
+            self.refaults(),
+            self.subpage_arrivals,
+            self.prefetched_subpages,
+            self.prefetched_bytes,
+            self.wasted_subpages,
+            self.wasted_bytes,
+            self.replica_writes,
+        ]
     }
 
     fn absorb(&mut self, other: &RegionStats) {
@@ -195,6 +211,38 @@ impl HeatTotals {
     #[must_use]
     pub fn total_faults(&self) -> u64 {
         self.faults.iter().sum()
+    }
+
+    /// Totals from class counts, [`SUM_KEYS`]-ordered sums and repairs.
+    fn from_sums(faults: [u64; 4], sums: [u64; 8], repairs: u64) -> Self {
+        let [first_touches, refaults, subpage_arrivals, prefetched_subpages, prefetched_bytes, wasted_subpages, wasted_bytes, replica_writes] =
+            sums;
+        HeatTotals {
+            faults,
+            first_touches,
+            refaults,
+            subpage_arrivals,
+            prefetched_subpages,
+            prefetched_bytes,
+            wasted_subpages,
+            wasted_bytes,
+            replica_writes,
+            repairs,
+        }
+    }
+
+    /// The totals of the region counters, in [`SUM_KEYS`] order.
+    fn sums(&self) -> [u64; 8] {
+        [
+            self.first_touches,
+            self.refaults,
+            self.subpage_arrivals,
+            self.prefetched_subpages,
+            self.prefetched_bytes,
+            self.wasted_subpages,
+            self.wasted_bytes,
+            self.replica_writes,
+        ]
     }
 }
 
@@ -367,22 +415,12 @@ impl HeatMap {
     /// Whole-map totals (sums of the per-region and per-node fields).
     #[must_use]
     pub fn totals(&self) -> HeatTotals {
-        let mut t = HeatTotals::default();
+        let (mut faults, mut sums) = ([0; 4], [0; 8]);
         for (_, stats) in &self.arena {
-            for (acc, c) in t.faults.iter_mut().zip(stats.faults) {
-                *acc += c;
-            }
-            t.first_touches += stats.first_touches;
-            t.refaults += stats.refault.count();
-            t.subpage_arrivals += stats.subpage_arrivals;
-            t.prefetched_subpages += stats.prefetched_subpages;
-            t.prefetched_bytes += stats.prefetched_bytes;
-            t.wasted_subpages += stats.wasted_subpages;
-            t.wasted_bytes += stats.wasted_bytes;
-            t.replica_writes += stats.replica_writes;
+            add(&mut faults, stats.faults);
+            add(&mut sums, stats.sums());
         }
-        t.repairs = self.nodes.iter().map(|n| n.repairs).sum();
-        t
+        HeatTotals::from_sums(faults, sums, self.nodes.iter().map(|n| n.repairs).sum())
     }
 
     /// All refault intervals merged into one sketch (for whole-run
@@ -540,6 +578,13 @@ impl HeatMap {
     }
 }
 
+/// Adds `values` into `acc` element by element.
+fn add<const N: usize>(acc: &mut [u64; N], values: [u64; N]) {
+    for (a, v) in acc.iter_mut().zip(values) {
+        *a += v;
+    }
+}
+
 #[inline]
 fn class_index(class: FaultClass) -> usize {
     match class {
@@ -619,6 +664,19 @@ impl Recorder for HeatMap {
     }
 }
 
+/// The additive region counters, in emission order: every region row
+/// carries them, and the `totals` object carries their sums.
+const SUM_KEYS: [&str; 8] = [
+    "first_touches",
+    "refaults",
+    "subpage_arrivals",
+    "prefetched_subpages",
+    "prefetched_bytes",
+    "wasted_subpages",
+    "wasted_bytes",
+    "replica_writes",
+];
+
 /// Render a heat map as the single-line `gms-heat/v1` JSON document.
 ///
 /// Deterministic: regions are emitted in `(node, region)` order and
@@ -668,39 +726,34 @@ pub fn heat_json(heat: &HeatMap) -> String {
         ));
         out.push_str(",\"faults\":");
         push_fault_counts(&mut out, &stats.faults);
-        out.push_str(&format!(
-            ",\"first_touches\":{},\"refaults\":{}",
-            stats.first_touches,
-            stats.refaults()
-        ));
+        let sums = stats.sums();
+        push_fields(&mut out, &SUM_KEYS[..2], &sums[..2]);
         out.push_str(",\"refault_ns\":");
         push_refault(&mut out, &stats.refault);
-        out.push_str(&format!(
-            ",\"subpage_arrivals\":{},\"subpage_mask\":{},\
-             \"prefetched_subpages\":{},\"prefetched_bytes\":{},\
-             \"wasted_subpages\":{},\"wasted_bytes\":{},\"replica_writes\":{}}}",
-            stats.subpage_arrivals,
-            stats.subpage_mask,
-            stats.prefetched_subpages,
-            stats.prefetched_bytes,
-            stats.wasted_subpages,
-            stats.wasted_bytes,
-            stats.replica_writes
-        ));
+        push_fields(&mut out, &SUM_KEYS[2..3], &sums[2..3]);
+        let _ = write!(out, ",\"subpage_mask\":{}", stats.subpage_mask);
+        push_fields(&mut out, &SUM_KEYS[3..], &sums[3..]);
+        out.push('}');
     }
     out.push_str("]}");
     out
 }
 
+/// Appends `,"key":value` for each key and value.
+fn push_fields(out: &mut String, keys: &[&str], values: &[u64]) {
+    for (key, value) in keys.iter().zip(values) {
+        let _ = write!(out, ",\"{key}\":{value}");
+    }
+}
+
+/// A `faults` object: one count per [`HeatMap::CLASSES`] label, then
+/// their `total`.
 fn push_fault_counts(out: &mut String, faults: &[u64; 4]) {
-    out.push_str(&format!(
-        "{{\"remote\":{},\"disk\":{},\"lazy\":{},\"degraded\":{},\"total\":{}}}",
-        faults[0],
-        faults[1],
-        faults[2],
-        faults[3],
-        faults.iter().sum::<u64>()
-    ));
+    out.push('{');
+    for (class, n) in HeatMap::CLASSES.iter().zip(faults) {
+        let _ = write!(out, "\"{}\":{n},", class.label());
+    }
+    let _ = write!(out, "\"total\":{}}}", faults.iter().sum::<u64>());
 }
 
 fn push_refault(out: &mut String, sketch: &QuantileSketch) {
@@ -717,21 +770,126 @@ fn push_refault(out: &mut String, sketch: &QuantileSketch) {
 fn push_totals(out: &mut String, t: &HeatTotals) {
     out.push_str("{\"faults\":");
     push_fault_counts(out, &t.faults);
-    out.push_str(&format!(
-        ",\"first_touches\":{},\"refaults\":{},\"subpage_arrivals\":{},\
-         \"prefetched_subpages\":{},\"prefetched_bytes\":{},\
-         \"wasted_subpages\":{},\"wasted_bytes\":{},\
-         \"replica_writes\":{},\"repairs\":{}}}",
-        t.first_touches,
-        t.refaults,
-        t.subpage_arrivals,
-        t.prefetched_subpages,
-        t.prefetched_bytes,
-        t.wasted_subpages,
-        t.wasted_bytes,
-        t.replica_writes,
-        t.repairs
-    ));
+    push_fields(out, &SUM_KEYS, &t.sums());
+    let _ = write!(out, ",\"repairs\":{}}}", t.repairs);
+}
+
+/// Checks a `gms-heat/v1` document's conservation laws: each `faults`
+/// object's classes sum to its total, first touches and refaults
+/// partition the faults, region rows sum field by field to `totals`,
+/// and the per-node rows agree with them. Returns the document's
+/// totals, for cross-checks against a run summary, and
+/// `"{n} regions of {pages} pages, {faults} faults, conserved"`.
+pub fn check_heat(doc: &JsonValue) -> Result<(HeatTotals, String), String> {
+    check_schema(doc, HEAT_SCHEMA)?;
+    let region_pages = doc
+        .get_u64("region_pages")
+        .filter(|p| p.is_power_of_two())
+        .ok_or("region_pages missing or not a power of two")?;
+    if doc.get_u64("quantum_ns").filter(|&q| q > 0).is_none() {
+        return Err("bad quantum_ns".to_owned());
+    }
+    let int_of = |v: &JsonValue, what: &str, key: &str| {
+        v.get_u64(key)
+            .ok_or_else(|| format!("{what}.{key} missing"))
+    };
+    // The class counts, then the total they must sum to.
+    let fault_counts = |v: &JsonValue, what: &str| -> Result<[u64; 5], String> {
+        let f = v
+            .get("faults")
+            .ok_or_else(|| format!("{what} has no faults object"))?;
+        let mut counts = [0u64; 5];
+        let keys = HeatMap::CLASSES.map(FaultClass::label);
+        for (n, key) in counts.iter_mut().zip(keys.iter().chain(&["total"])) {
+            *n = f
+                .get_u64(key)
+                .ok_or_else(|| format!("{what} faults.{key} missing"))?;
+        }
+        let classes = counts[..4].iter().sum::<u64>();
+        if classes != counts[4] {
+            return Err(format!(
+                "{what} fault classes sum to {classes}, total says {}",
+                counts[4]
+            ));
+        }
+        Ok(counts)
+    };
+    // The SUM_KEYS counters, whose first two partition the faults.
+    let sums_of = |v: &JsonValue, what: &str, faults: u64| -> Result<[u64; 8], String> {
+        let mut sums = [0u64; 8];
+        for (n, key) in sums.iter_mut().zip(SUM_KEYS) {
+            *n = int_of(v, what, key)?;
+        }
+        let [first, refaults, ..] = sums;
+        if first + refaults != faults {
+            return Err(format!(
+                "{what} first_touches {first} + refaults {refaults} != faults {faults}"
+            ));
+        }
+        Ok(sums)
+    };
+    let totals = doc.get("totals").ok_or("no totals object")?;
+    let total_faults = fault_counts(totals, "totals")?;
+    let total_sums = sums_of(totals, "totals", total_faults[4])?;
+    let regions = doc.get_array("regions").ok_or("no regions array")?;
+    let (mut sum_faults, mut sums) = ([0u64; 5], [0u64; 8]);
+    for (i, r) in regions.iter().enumerate() {
+        let what = format!("region {i}");
+        let rf = fault_counts(r, &what)?;
+        let rs = sums_of(r, &what, rf[4])?;
+        let sketch = r
+            .get("refault_ns")
+            .ok_or_else(|| format!("{what} has no refault_ns"))?;
+        let count = int_of(sketch, &what, "count")?;
+        if count != rs[1] {
+            return Err(format!(
+                "{what} refault_ns.count {count} != refaults {}",
+                rs[1]
+            ));
+        }
+        add(&mut sum_faults, rf);
+        add(&mut sums, rs);
+    }
+    if sum_faults != total_faults {
+        return Err(format!(
+            "region faults sum to {sum_faults:?}, totals say {total_faults:?}"
+        ));
+    }
+    for ((key, sum), total) in SUM_KEYS.iter().zip(sums).zip(total_sums) {
+        if sum != total {
+            return Err(format!("region {key} sum to {sum}, totals say {total}"));
+        }
+    }
+    // Per-node rows carry the counters regions cannot (repairs, wire
+    // time); their fault tallies must agree with the totals.
+    let nodes = doc.get_array("nodes").ok_or("no nodes array")?;
+    let (mut node_faults, mut node_repl, mut node_repairs) = (0u64, 0u64, 0u64);
+    for (i, n) in nodes.iter().enumerate() {
+        let what = format!("node {i}");
+        node_faults += int_of(n, &what, "faults")?;
+        node_repl += int_of(n, &what, "replica_writes")?;
+        node_repairs += int_of(n, &what, "repairs")?;
+        int_of(n, &what, "wire_busy_ns")?;
+    }
+    if node_faults != total_faults[4] {
+        return Err(format!(
+            "node faults sum to {node_faults}, totals say {}",
+            total_faults[4]
+        ));
+    }
+    let repairs = int_of(totals, "totals", "repairs")?;
+    if node_repl != total_sums[7] || node_repairs != repairs {
+        return Err("node replica/repair tallies do not match totals".to_owned());
+    }
+    let [remote, disk, lazy, degraded, faults] = total_faults;
+    let totals = HeatTotals::from_sums([remote, disk, lazy, degraded], total_sums, repairs);
+    Ok((
+        totals,
+        format!(
+            "{} regions of {region_pages} pages, {faults} faults, conserved",
+            regions.len()
+        ),
+    ))
 }
 
 /// Render a heat map's counter tracks as a Chrome/Perfetto trace
@@ -1050,6 +1208,9 @@ mod tests {
         assert!(names.contains("faults"));
         assert!(names.contains("wire-utilization"));
         assert!(names.iter().any(|n| n.starts_with("hot-region")));
+        // Counter tracks are valid trace events for the trace checker.
+        let detail = crate::perfetto::check_trace(&v).expect("counter trace passes");
+        assert!(detail.ends_with(" 0 spans"), "{detail}");
     }
 
     #[test]
@@ -1193,6 +1354,10 @@ mod tests {
                     .and_then(JsonValue::as_u64),
                 Some(totals.total_faults())
             );
+            // The checker accepts the document and reads back the
+            // accumulator's own totals.
+            let (checked, _) = check_heat(&v).expect("writer output passes");
+            prop_assert_eq!(checked, totals);
         }
     }
 }

@@ -149,6 +149,39 @@ impl JsonValue {
             _ => None,
         }
     }
+
+    /// The integer field `key` ([`JsonValue::as_u64`] of [`JsonValue::get`]).
+    #[must_use]
+    pub fn get_u64(&self, key: &str) -> Option<u64> {
+        self.get(key).and_then(JsonValue::as_u64)
+    }
+
+    /// The number field `key`.
+    #[must_use]
+    pub fn get_f64(&self, key: &str) -> Option<f64> {
+        self.get(key).and_then(JsonValue::as_f64)
+    }
+
+    /// The string field `key`.
+    #[must_use]
+    pub fn get_str(&self, key: &str) -> Option<&str> {
+        self.get(key).and_then(JsonValue::as_str)
+    }
+
+    /// The array field `key`.
+    #[must_use]
+    pub fn get_array(&self, key: &str) -> Option<&[JsonValue]> {
+        self.get(key).and_then(JsonValue::as_array)
+    }
+}
+
+/// The first test of every artifact checker: the document's `schema`
+/// tag is `expected`.
+pub(crate) fn check_schema(doc: &JsonValue, expected: &str) -> Result<(), String> {
+    match doc.get_str("schema") {
+        Some(s) if s == expected => Ok(()),
+        schema => Err(format!("schema {schema:?}, expected {expected:?}")),
+    }
 }
 
 /// The deepest array/object nesting [`JsonValue::parse`] accepts. The

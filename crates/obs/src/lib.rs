@@ -42,8 +42,14 @@
 //! * [`perfetto_trace`] — Chrome/Perfetto `trace.json` export: one
 //!   track per `(node, resource)`, spans for occupancies, instants for
 //!   fault-lifecycle events.
-//! * [`JsonValue`] — a minimal JSON parser used by tests and the CLI's
-//!   `check-trace` command to validate exported files offline.
+//! * [`JsonValue`] — a minimal JSON parser for validating exported
+//!   files offline. Each schema's checker sits beside its writer
+//!   ([`check_trace`], [`check_metrics`], [`check_attrib`],
+//!   [`check_explain`], [`check_heat`]) and shares its key lists, so
+//!   the two cannot drift. A checker's error names the first missing
+//!   field or broken law; the CLI's `check-trace` only dispatches.
+//! * [`SloTally`] — SLO attainment against a wait threshold, computed,
+//!   rendered and checked in one place.
 //! * [`attribute`] — critical-path latency attribution: splits every
 //!   fault's wait into queueing vs. service per `(node, resource)` hop
 //!   using the occupancy log's queue-entry/grant/release timestamps,
@@ -88,16 +94,21 @@ mod sketch;
 mod timeseries;
 
 pub use attrib::{
-    attribute, attribution_json, prefetch_stats, AttributionReport, ComponentRow, FaultAttribution,
-    Hop, OffPathUsage, PrefetchStats, ATTRIB_SCHEMA,
+    attribute, attribution_json, check_attrib, prefetch_stats, AttributionReport, ComponentRow,
+    FaultAttribution, Hop, OffPathUsage, PrefetchStats, ATTRIB_SCHEMA,
 };
 pub use counters::CounterRegistry;
 pub use event::{Event, FaultClass, PolicyChoice, ResourceKind};
-pub use flight::{Exemplar, FlightRecorder, WindowTally};
-pub use heat::{heat_json, heat_perfetto, HeatMap, HeatTotals, NodeHeat, RegionStats, HEAT_SCHEMA};
+pub use flight::{
+    check_explain, explain_json, Exemplar, ExplainDoc, FlightRecorder, SloTally, WindowTally,
+    EXPLAIN_SCHEMA,
+};
+pub use heat::{
+    check_heat, heat_json, heat_perfetto, HeatMap, HeatTotals, NodeHeat, RegionStats, HEAT_SCHEMA,
+};
 pub use hist::LogHistogram;
 pub use json::{escape_json, JsonValue};
-pub use perfetto::{perfetto_trace, trace_nodes, APP_TRACK};
+pub use perfetto::{check_trace, perfetto_trace, APP_TRACK, INSTANT_KINDS};
 pub use recorder::{MemoryRecorder, NoopRecorder, Recorder};
-pub use sketch::QuantileSketch;
-pub use timeseries::{metrics_json, TimeSeriesRecorder, Window, METRICS_SCHEMA};
+pub use sketch::{tail_json, QuantileSketch, TAIL_PERCENTILES};
+pub use timeseries::{check_metrics, metrics_json, TimeSeriesRecorder, Window, METRICS_SCHEMA};

@@ -19,10 +19,8 @@
 
 use std::collections::BTreeSet;
 
-use gms_units::NodeId;
-
 use crate::event::{Event, ResourceKind};
-use crate::json::escape_json;
+use crate::json::{escape_json, JsonValue};
 
 /// `tid` of the synthetic per-node application track.
 pub const APP_TRACK: usize = 5;
@@ -338,20 +336,76 @@ where
     doc
 }
 
-/// The set of node indices appearing in a trace (exported for tests
-/// and the `check-trace` validator).
-#[must_use]
-pub fn trace_nodes(events: &[Event]) -> Vec<NodeId> {
-    let set: BTreeSet<u32> = events.iter().map(|e| e.node().index()).collect();
-    set.into_iter().map(NodeId::new).collect()
+/// Every instant-event name [`perfetto_trace`] writes, one per instant
+/// [`Event`] variant. [`check_trace`] rejects any other, so a renamed
+/// or misspelled event breaks loudly rather than silently vanishing
+/// from downstream tooling.
+pub const INSTANT_KINDS: [&str; 16] = [
+    "fault",
+    "getpage",
+    "restart",
+    "arrival",
+    "putpage",
+    "timeout",
+    "retry",
+    "failover",
+    "node-down",
+    "node-up",
+    "degraded-fetch",
+    "policy-decision",
+    "prefetch",
+    "replica-write",
+    "repair",
+    "directory-rebuild",
+];
+
+/// Checks a Chrome/Perfetto trace document as [`perfetto_trace`] and
+/// [`crate::heat_perfetto`] write it: every event is a span (`X`),
+/// instant (`i`), metadata (`M`) or counter (`C`) record with a `pid`;
+/// instants carry an [`INSTANT_KINDS`] name, and counters a string
+/// name and numeric `args`. Returns `"{events} events, {spans} spans"`.
+pub fn check_trace(doc: &JsonValue) -> Result<String, String> {
+    let events = doc.get_array("traceEvents").ok_or("no traceEvents array")?;
+    let mut spans = 0;
+    for (i, e) in events.iter().enumerate() {
+        let ph = e.get_str("ph");
+        if !matches!(ph, Some("X" | "i" | "M" | "C")) {
+            return Err(format!("event {i} has unexpected phase {ph:?}"));
+        }
+        if e.get_u64("pid").is_none() {
+            return Err(format!("event {i} has no pid"));
+        }
+        match ph {
+            Some("X") => spans += 1,
+            Some("i") => {
+                let name = e.get_str("name");
+                if !name.is_some_and(|n| INSTANT_KINDS.contains(&n)) {
+                    return Err(format!("event {i} has unknown instant kind {name:?}"));
+                }
+            }
+            Some("C") => {
+                let numeric = e
+                    .get("args")
+                    .and_then(JsonValue::as_object)
+                    .is_some_and(|args| args.values().all(|v| v.as_f64().is_some()));
+                if e.get_str("name").is_none() || !numeric {
+                    return Err(format!(
+                        "event {i} is a counter without a name or numeric args"
+                    ));
+                }
+            }
+            _ => {}
+        }
+    }
+    Ok(format!("{} events, {spans} spans", events.len()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::FaultClass;
-    use crate::json::JsonValue;
-    use gms_units::{Duration, SimTime};
+    use crate::event::{arb_events, sample_event, FaultClass, EVENT_VARIANTS};
+    use gms_units::{Duration, NodeId, SimTime};
+    use proptest::prelude::*;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -447,8 +501,60 @@ mod tests {
             .filter(|e| e.get("ph").and_then(JsonValue::as_str) == Some("i"))
             .count();
         assert_eq!(instants, 4); // fault + restart + 2 arrivals
+    }
 
-        assert_eq!(trace_nodes(&events), vec![NodeId::new(0), NodeId::new(1)]);
+    /// The instant names `perfetto_trace` writes are exactly
+    /// `INSTANT_KINDS`: none the checker would reject, none it lists
+    /// that no event emits.
+    #[test]
+    fn instant_kinds_match_the_writer() {
+        let events: Vec<Event> = (0..EVENT_VARIANTS)
+            .map(|kind| sample_event(kind, 0, 1, 1_000, 10))
+            .collect();
+        let doc = JsonValue::parse(&perfetto_trace(&events)).unwrap();
+        let emitted: BTreeSet<&str> = doc
+            .get_array("traceEvents")
+            .unwrap()
+            .iter()
+            .filter(|e| e.get_str("ph") == Some("i"))
+            .filter_map(|e| e.get_str("name"))
+            .collect();
+        assert_eq!(emitted, INSTANT_KINDS.into_iter().collect::<BTreeSet<_>>());
+        assert_eq!(emitted.len(), INSTANT_KINDS.len(), "names are distinct");
+    }
+
+    #[test]
+    fn check_trace_rejects_malformed_events() {
+        let check = |events: &str| {
+            check_trace(&JsonValue::parse(&format!("{{\"traceEvents\":[{events}]}}")).unwrap())
+        };
+        assert_eq!(check(""), Ok("0 events, 0 spans".to_owned()));
+        let counter = r#"{"ph":"C","name":"faults","pid":0,"ts":0.000,"args":{"faults":3}}"#;
+        assert_eq!(check(counter), Ok("1 events, 0 spans".to_owned()));
+        for bad in [
+            r#"{"ph":"C","pid":0,"args":{"faults":3}}"#,
+            r#"{"ph":"C","name":"faults","pid":0,"args":{"faults":"3"}}"#,
+            r#"{"ph":"C","name":"faults","pid":0}"#,
+            r#"{"ph":"i","name":"frobnicate","pid":0}"#,
+            r#"{"ph":"B","name":"fault","pid":0}"#,
+            r#"{"ph":"X","name":"data"}"#,
+        ] {
+            assert!(check(bad).is_err(), "{bad}");
+        }
+    }
+
+    proptest! {
+        /// Whatever events a run records, the document passes the checker.
+        #[test]
+        fn traces_of_any_stream_pass_the_checker(events in arb_events()) {
+            let doc = JsonValue::parse(&perfetto_trace(&events)).expect("valid JSON");
+            let spans = events
+                .iter()
+                .filter(|e| matches!(e, Event::Occupancy { .. } | Event::Stall { .. }))
+                .count();
+            let detail = check_trace(&doc).expect("writer output passes");
+            prop_assert!(detail.ends_with(&format!(" {spans} spans")), "{}", detail);
+        }
     }
 
     #[test]

@@ -238,6 +238,29 @@ impl QuantileSketch {
     }
 }
 
+/// The far-tail percentile keys of a `tail` object, with the quantile
+/// each is computed at, in emission order. The sketch's 1/256 error
+/// bound makes them meaningful. [`tail_json`] writes them and the
+/// summary checker reads them, so neither side can drift.
+pub const TAIL_PERCENTILES: [(&str, f64); 2] = [("p99_9_ns", 0.999), ("p99_99_ns", 0.9999)];
+
+/// Renders a wait sketch as a `tail` object: the [`TAIL_PERCENTILES`]
+/// keys plus the exact count/max and the sketch's guaranteed relative
+/// error bound.
+#[must_use]
+pub fn tail_json(sketch: &QuantileSketch) -> String {
+    let tail: String = TAIL_PERCENTILES
+        .iter()
+        .map(|&(key, q)| format!("\"{key}\":{},", sketch.quantile(q)))
+        .collect();
+    format!(
+        "{{\"count\":{},{tail}\"max_ns\":{},\"rel_err\":{:.6}}}",
+        sketch.count(),
+        sketch.max(),
+        QuantileSketch::MAX_RELATIVE_ERROR
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

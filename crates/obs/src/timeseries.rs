@@ -26,8 +26,9 @@ use std::collections::BTreeSet;
 use gms_units::{Duration, SimTime};
 
 use crate::counters::CounterRegistry;
-use crate::event::Event;
+use crate::event::{Event, ResourceKind};
 use crate::hist::LogHistogram;
+use crate::json::{check_schema, JsonValue};
 use crate::recorder::Recorder;
 
 /// Schema tag of the JSON rendering produced by [`metrics_json`].
@@ -287,6 +288,27 @@ impl TimeSeriesRecorder {
     }
 }
 
+/// Reads one count off a window.
+type Count = fn(&Window) -> u64;
+
+/// The per-window event counts in emission order (after `t_ns`):
+/// [`metrics_json`] writes each and [`check_metrics`] requires each.
+const WINDOW_COUNTS: [(&str, Count); 8] = [
+    ("faults", |w| w.faults),
+    ("restarts", |w| w.restarts),
+    ("timeouts", |w| w.timeouts),
+    ("retries", |w| w.retries),
+    ("degraded_fetches", |w| w.degraded_fetches),
+    ("putpages", |w| w.putpages),
+    ("node_downs", |w| w.node_downs),
+    ("node_ups", |w| w.node_ups),
+];
+
+/// A window's utilization key for resource `r`.
+fn util_key(r: ResourceKind) -> String {
+    format!("util_{}", r.label().replace('-', "_"))
+}
+
 /// Renders the series as a `gms-metrics/v1` JSON document: one object
 /// per window with counters, per-resource utilization, stall time,
 /// mean in-flight fetches and wait percentiles.
@@ -301,25 +323,20 @@ pub fn metrics_json(ts: &TimeSeriesRecorder) -> String {
         .map(|(i, w)| {
             let mut reg = CounterRegistry::new();
             reg.set("t_ns", i as u64 * window_ns);
-            reg.set("faults", w.faults);
-            reg.set("restarts", w.restarts);
-            reg.set("timeouts", w.timeouts);
-            reg.set("retries", w.retries);
-            reg.set("degraded_fetches", w.degraded_fetches);
-            reg.set("putpages", w.putpages);
-            reg.set("node_downs", w.node_downs);
-            reg.set("node_ups", w.node_ups);
+            for (key, count) in WINDOW_COUNTS {
+                reg.set(key, count(w));
+            }
             reg.set("stall_ns", w.stall.as_nanos());
             reg.set_f64(
                 "inflight_mean",
                 w.inflight.as_nanos() as f64 / window_ns as f64,
             );
-            for r in crate::ResourceKind::ALL {
+            for r in ResourceKind::ALL {
                 // Aggregate utilization: busy time over every node's
                 // copy of this resource. The last window is partial,
                 // so its utilization is understated.
                 reg.set_f64(
-                    &format!("util_{}", r.label().replace('-', "_")),
+                    &util_key(r),
                     w.busy[r.index()].as_nanos() as f64 / (window_ns * nodes) as f64,
                 );
             }
@@ -350,12 +367,43 @@ pub fn metrics_json(ts: &TimeSeriesRecorder) -> String {
     )
 }
 
+/// Checks a `gms-metrics/v1` document: a positive `window_ns`, and in
+/// every window the integer counts and a utilization in `[0, 1]` per
+/// resource. Returns `"{n} windows of {window_ns} ns"`.
+pub fn check_metrics(doc: &JsonValue) -> Result<String, String> {
+    check_schema(doc, METRICS_SCHEMA)?;
+    let window_ns = doc
+        .get_u64("window_ns")
+        .filter(|&w| w > 0)
+        .ok_or("bad window_ns")?;
+    let windows = doc.get_array("windows").ok_or("no windows array")?;
+    let counts = WINDOW_COUNTS.map(|(key, _)| key);
+    for (i, w) in windows.iter().enumerate() {
+        for key in ["t_ns"].iter().chain(&counts).chain(&["wait_count"]) {
+            if w.get_u64(key).is_none() {
+                return Err(format!("window {i} missing integer {key}"));
+            }
+        }
+        for r in ResourceKind::ALL {
+            let key = util_key(r);
+            let u = w
+                .get_f64(&key)
+                .ok_or_else(|| format!("window {i} missing {key}"))?;
+            if !(0.0..=1.0 + 1e-9).contains(&u) {
+                return Err(format!("window {i} {key} = {u} out of [0, 1]"));
+            }
+        }
+    }
+    Ok(format!("{} windows of {window_ns} ns", windows.len()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{FaultClass, ResourceKind};
-    use crate::json::JsonValue;
+    use crate::event::{arb_events, FaultClass};
     use gms_units::NodeId;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -424,6 +472,44 @@ mod tests {
         assert_eq!(windows.len(), 1);
         let util = windows[0].get("util_wire_in").unwrap().as_f64().unwrap();
         assert!((util - 0.8).abs() < 1e-9, "got {util}");
+    }
+
+    proptest! {
+        /// Whatever events a run records, the document passes the
+        /// checker. A node holds each resource for one occupancy at a
+        /// time, so the stream's occupancies are laid back to back.
+        #[test]
+        fn metrics_of_any_stream_pass_the_checker(mut events in arb_events()) {
+            let mut free: HashMap<(NodeId, ResourceKind), SimTime> = HashMap::new();
+            for e in &mut events {
+                if let Event::Occupancy { node, resource, ready, start, end, .. } = e {
+                    let at = free.entry((*node, *resource)).or_insert(SimTime::ZERO);
+                    let len = end.elapsed_since(*start);
+                    *start = (*start).max(*at);
+                    *ready = *start;
+                    *end = *start + len;
+                    *at = *end;
+                }
+            }
+            let ts = TimeSeriesRecorder::replay(Duration::from_micros(250), &events);
+            let doc = JsonValue::parse(&metrics_json(&ts)).expect("valid JSON");
+            let detail = check_metrics(&doc).expect("writer output passes");
+            prop_assert_eq!(detail, format!("{} windows of 250000 ns", ts.windows().len()));
+        }
+    }
+
+    #[test]
+    fn check_metrics_names_the_missing_count() {
+        let mut ts = TimeSeriesRecorder::new(Duration::from_nanos(1_000));
+        ts.record(Event::NodeUp {
+            node: NodeId::new(0),
+            at: t(10),
+        });
+        let doc = metrics_json(&ts).replace("\"node_ups\":1,", "");
+        assert_eq!(
+            check_metrics(&JsonValue::parse(&doc).unwrap()),
+            Err("window 0 missing integer node_ups".to_owned())
+        );
     }
 
     #[test]
