@@ -158,7 +158,11 @@ fn main() {
     // Paper-default sweep grid: serial executor vs. `jobs()` workers.
     let sweep_once = |jobs: usize| {
         let start = Instant::now();
-        std::hint::black_box(Sweep::new(app.clone()).run_parallel(jobs));
+        std::hint::black_box(
+            Sweep::new(app.clone())
+                .run_parallel(jobs)
+                .expect("no trace directory"),
+        );
         start.elapsed().as_secs_f64()
     };
     let parallel_jobs = jobs();

@@ -79,6 +79,7 @@ pub fn sweep_grid(
         .policies(policies)
         .memories(memories)
         .run_parallel(jobs())
+        .expect("a sweep without a trace directory writes no files")
 }
 
 /// [`sweep_grid`] with extra per-cell configuration (network,
@@ -95,6 +96,7 @@ pub fn sweep_grid_configured(
         .memories(memories)
         .configure(configure)
         .run_parallel(jobs())
+        .expect("a sweep without a trace directory writes no files")
 }
 
 /// Where result CSVs are written.

@@ -1263,7 +1263,7 @@ fn sweep_command(
     if let Some(heat) = heat.recorder() {
         sweep = sweep.heat(heat);
     }
-    let results = sweep.run_parallel(jobs);
+    let results = sweep.run_parallel(jobs).map_err(|e| err(e.to_string()))?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -2481,6 +2481,26 @@ mod tests {
         .unwrap_err();
         assert!(e.to_string().contains("cannot create"), "{e}");
         let _ = std::fs::remove_file(&file);
+    }
+
+    #[test]
+    fn sweep_trace_file_that_cannot_be_written_is_an_error() {
+        let dir = temp_path("trace-dir-blocked");
+        let blocked = dir.join("sp_1024__full-mem.trace.json");
+        std::fs::create_dir_all(&blocked).unwrap();
+        for jobs in [1, 2] {
+            let e = execute(&argv(&format!(
+                "sweep --app gdb --scale 0.02 --policies sp_1024 --jobs {jobs} --trace-dir {}",
+                dir.display()
+            )))
+            .unwrap_err();
+            let msg = e.to_string();
+            assert!(
+                msg.starts_with(&format!("cannot write {}: ", blocked.display())),
+                "{msg}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -22,8 +22,6 @@
 //! shared context, committing their shared sections in canonical
 //! `(park clock, node id)` order.
 
-use std::collections::HashMap;
-
 use gms_cluster::Gms;
 use gms_mem::{
     FramePool, Geometry, PageId, PageState, PageTable, PalEmulator, ReplacementPolicy,
@@ -37,7 +35,7 @@ use gms_obs::{Event, FaultClass, NoopRecorder, Recorder, ResourceKind};
 use gms_trace::apps::AppProfile;
 use gms_trace::synth::LAYOUT_BASE;
 use gms_trace::{AccessKind, Run, TraceSource};
-use gms_units::{Duration, NodeId, SimTime, VirtAddr};
+use gms_units::{Duration, FastMap, NodeId, SimTime, VirtAddr};
 
 use crate::cluster_sim::{run_cluster, NodeInput};
 use crate::events::{Arrival, EventCore};
@@ -466,7 +464,7 @@ pub(crate) struct NodeDriver<'a> {
     table: PageTable,
     lru: Box<dyn ReplacementPolicy>,
     events: EventCore,
-    armed: HashMap<PageId, SubpageIndex>,
+    armed: FastMap<PageId, SubpageIndex>,
     /// The per-run policy engine planning whole-page faults. Static
     /// policies carry a history-blind engine whose plans are
     /// byte-identical to [`FetchPolicy::plan_fault`].
@@ -479,12 +477,12 @@ pub(crate) struct NodeDriver<'a> {
     /// Outstanding prefetch predictions per page: bitmask of subpages
     /// fetched beyond the demanded one and not yet touched. The window
     /// closes at eviction; whatever is still set was moved for nothing.
-    predicted: HashMap<PageId, u32>,
+    predicted: FastMap<PageId, u32>,
     prefetched_subpages: u64,
     mispredicted_prefetch_bytes: u64,
     /// Which node served each resident remotely-fetched page; lazy
     /// refills go back to the same custodian.
-    served_by: HashMap<PageId, NodeId>,
+    served_by: FastMap<PageId, NodeId>,
     /// Recent stall intervals, for deciding whether a receive interrupt
     /// fired while the program was blocked (free) or running (charged).
     recent_stalls: std::collections::VecDeque<(SimTime, SimTime)>,
@@ -507,7 +505,7 @@ pub(crate) struct NodeDriver<'a> {
     fell_back_to_disk: u64,
     /// Subpages whose carrier message was lost in flight, per resident
     /// page: the hole is discovered and re-fetched at touch time.
-    lost_subs: HashMap<PageId, Vec<SubpageIndex>>,
+    lost_subs: FastMap<PageId, Vec<SubpageIndex>>,
 }
 
 impl<'a> NodeDriver<'a> {
@@ -536,13 +534,13 @@ impl<'a> NodeDriver<'a> {
             table: PageTable::new(geom),
             lru: cfg.replacement.build(),
             events: EventCore::new(),
-            armed: HashMap::new(),
+            armed: FastMap::default(),
             engine: cfg.policy.engine(),
             adaptive: cfg.policy.is_adaptive(),
-            predicted: HashMap::new(),
+            predicted: FastMap::default(),
             prefetched_subpages: 0,
             mispredicted_prefetch_bytes: 0,
-            served_by: HashMap::new(),
+            served_by: FastMap::default(),
             recent_stalls: std::collections::VecDeque::new(),
             disk: DiskModel::paper(disk_pattern),
             pal: PalEmulator::paper(),
@@ -558,7 +556,7 @@ impl<'a> NodeDriver<'a> {
             retries: 0,
             failovers: 0,
             fell_back_to_disk: 0,
-            lost_subs: HashMap::new(),
+            lost_subs: FastMap::default(),
         }
     }
 
@@ -1336,9 +1334,15 @@ impl<'a> NodeDriver<'a> {
         // Retries may have relocated the page to a different custodian;
         // lazy refills must go back to whoever actually served it.
         self.served_by.insert(page, server);
+        let sp_wait = ft.resume_at.elapsed_since(self.clock);
+        if R::ENABLED {
+            // Told before the sync below forwards this attempt's
+            // occupancies, so a recorder that will drop the fault can
+            // decline them.
+            ctx.rec.restart_wait_hint(extra_wait + sp_wait);
+        }
         ctx.sync_net();
 
-        let sp_wait = ft.resume_at.elapsed_since(self.clock);
         self.fault_log.push(FaultRecord {
             at_ref: self.refs_done,
             page,

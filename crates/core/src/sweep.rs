@@ -12,7 +12,8 @@
 //! regardless of which worker finished first.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -47,9 +48,10 @@ pub struct SweepCell {
 /// let sweep = Sweep::new(apps::gdb().scaled(0.2))
 ///     .policies([FetchPolicy::fullpage(), FetchPolicy::eager(SubpageSize::S1K)])
 ///     .memories([MemoryConfig::Half])
-///     .run();
+///     .run()?;
 /// let best = sweep.best().expect("non-empty grid");
 /// assert_eq!(best.policy, FetchPolicy::eager(SubpageSize::S1K));
+/// # Ok::<(), std::io::Error>(())
 /// ```
 pub struct Sweep {
     app: AppProfile,
@@ -145,11 +147,14 @@ impl Sweep {
 
     /// Runs the grid serially (one worker).
     ///
+    /// # Errors
+    ///
+    /// As [`Sweep::run_parallel`].
+    ///
     /// # Panics
     ///
     /// Panics if either axis is empty.
-    #[must_use]
-    pub fn run(self) -> SweepResults {
+    pub fn run(self) -> io::Result<SweepResults> {
         self.run_parallel(1)
     }
 
@@ -165,11 +170,16 @@ impl Sweep {
     /// `jobs` is clamped to `[1, cells]`; pass
     /// `std::thread::available_parallelism()` for a machine-sized pool.
     ///
+    /// # Errors
+    ///
+    /// With a [trace directory](Sweep::trace_dir), the first cell (in
+    /// grid order) whose artifact cannot be written, or the directory
+    /// itself if it cannot be created. The error names the path.
+    ///
     /// # Panics
     ///
     /// Panics if either axis is empty.
-    #[must_use]
-    pub fn run_parallel(self, jobs: usize) -> SweepResults {
+    pub fn run_parallel(self, jobs: usize) -> io::Result<SweepResults> {
         assert!(
             !self.policies.is_empty() && !self.memories.is_empty(),
             "sweep axes must be non-empty"
@@ -184,14 +194,12 @@ impl Sweep {
         let footprint = self.app.footprint();
         let configure = &self.configure;
         if let Some(dir) = &self.trace_dir {
-            std::fs::create_dir_all(dir).expect("sweep trace directory is creatable");
+            std::fs::create_dir_all(dir).map_err(|e| with_path(e, "create", dir))?;
         }
         let trace_dir = &self.trace_dir;
         let heat_template = &self.heat;
 
-        let run_cell = |policy: FetchPolicy,
-                        memory: MemoryConfig|
-         -> (SweepCell, Option<HeatMap>) {
+        let run_cell = |policy: FetchPolicy, memory: MemoryConfig| -> io::Result<CellRun> {
             let builder = SimConfig::builder().policy(policy).memory(memory);
             let config = configure(builder).build();
             let sim = Simulator::new(config);
@@ -210,16 +218,14 @@ impl Sweep {
                         sanitize_label(&policy.label()),
                         sanitize_label(&memory.label())
                     );
-                    std::fs::write(
-                        dir.join(format!("{stem}.trace.json")),
+                    write(
+                        &dir.join(format!("{stem}.trace.json")),
                         perfetto_trace(rec.iter()),
-                    )
-                    .expect("sweep trace file is writable");
-                    std::fs::write(
-                        dir.join(format!("{stem}.summary.json")),
+                    )?;
+                    write(
+                        &dir.join(format!("{stem}.summary.json")),
                         run_summary_json(&report),
-                    )
-                    .expect("sweep summary file is writable");
+                    )?;
                     // The heat fold is a pure function of the event
                     // stream, so replaying the buffered trace is
                     // equivalent to recording live.
@@ -237,59 +243,77 @@ impl Sweep {
                     None => sim.run_trace(&mut trace.cursor(), footprint, LAYOUT_BASE),
                 },
             };
-            (
+            Ok((
                 SweepCell {
                     policy,
                     memory,
                     report,
                 },
                 cell_heat,
-            )
-        };
-
-        let merge_heat = |cells: &[(SweepCell, Option<HeatMap>)]| -> Option<HeatMap> {
-            let mut total = heat_template.clone()?;
-            for (_, cell_heat) in cells {
-                total.merge(cell_heat.as_ref().expect("every cell recorded heat"));
-            }
-            Some(total)
+            ))
         };
 
         let workers = jobs.max(1).min(coords.len());
-        if workers == 1 {
-            let cells: Vec<_> = coords.iter().map(|&(p, m)| run_cell(p, m)).collect();
-            let heat = merge_heat(&cells);
-            return SweepResults::new(cells.into_iter().map(|(c, _)| c).collect(), heat);
-        }
-
-        // Order-preserving work stealing: workers claim cell indices
-        // from a shared counter and deposit results into per-cell
-        // slots, so completion order never affects report order.
-        let slots: Vec<OnceLock<(SweepCell, Option<HeatMap>)>> =
-            coords.iter().map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(policy, memory)) = coords.get(i) else {
-                        break;
-                    };
-                    let cell = run_cell(policy, memory);
-                    slots[i].set(cell).unwrap_or_else(|_| {
-                        unreachable!("cell {i} computed twice");
+        let cells = if workers == 1 {
+            coords
+                .iter()
+                .map(|&(p, m)| run_cell(p, m))
+                .collect::<io::Result<Vec<_>>>()?
+        } else {
+            // Order-preserving work stealing: workers claim cell indices
+            // from a shared counter and deposit results into per-cell
+            // slots, so completion order never affects report order.
+            let slots: Vec<OnceLock<io::Result<CellRun>>> =
+                coords.iter().map(|_| OnceLock::new()).collect();
+            let next = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(|| loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&(policy, memory)) = coords.get(i) else {
+                            break;
+                        };
+                        let cell = run_cell(policy, memory);
+                        slots[i].set(cell).unwrap_or_else(|_| {
+                            unreachable!("cell {i} computed twice");
+                        });
                     });
-                });
+                }
+            });
+            slots
+                .into_iter()
+                .map(|slot| slot.into_inner().expect("worker pool computed every cell"))
+                .collect::<io::Result<Vec<_>>>()?
+        };
+
+        let heat = heat_template.clone().map(|mut total| {
+            for (_, cell_heat) in &cells {
+                total.merge(cell_heat.as_ref().expect("every cell recorded heat"));
             }
+            total
         });
-        let cells: Vec<_> = slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("worker pool computed every cell"))
-            .collect();
-        let heat = merge_heat(&cells);
-        SweepResults::new(cells.into_iter().map(|(c, _)| c).collect(), heat)
+        Ok(SweepResults::new(
+            cells.into_iter().map(|(c, _)| c).collect(),
+            heat,
+        ))
     }
 }
+
+/// Writes one cell artifact, naming the path in any error.
+fn write(path: &Path, contents: String) -> io::Result<()> {
+    std::fs::write(path, contents).map_err(|e| with_path(e, "write", path))
+}
+
+/// `error`, reworded as `cannot <action> <path>: <error>`.
+fn with_path(error: io::Error, action: &str, path: &Path) -> io::Error {
+    io::Error::new(
+        error.kind(),
+        format!("cannot {action} {}: {error}", path.display()),
+    )
+}
+
+/// One finished cell and its heat partial (when the sweep records heat).
+type CellRun = (SweepCell, Option<HeatMap>);
 
 /// A label made filename-safe: `1/2-mem` → `1-2-mem`.
 fn sanitize_label(label: &str) -> String {
@@ -371,6 +395,7 @@ mod tests {
             ])
             .memories([MemoryConfig::Full, MemoryConfig::Half])
             .run()
+            .expect("no trace directory, nothing to write")
     }
 
     #[test]
@@ -424,7 +449,8 @@ mod tests {
             .policies([FetchPolicy::fullpage()])
             .memories([MemoryConfig::Half])
             .configure(|b| b.ns_per_ref(24))
-            .run();
+            .run()
+            .expect("no trace directory, nothing to write");
         let cell = &results.cells()[0];
         // Doubled per-reference cost doubles exec time.
         assert_eq!(
@@ -450,8 +476,8 @@ mod tests {
                 .memories([MemoryConfig::Full, MemoryConfig::Half])
                 .heat(HeatMap::new().with_region_pages(16))
         };
-        let serial = grid().run();
-        let parallel = grid().run_parallel(3);
+        let serial = grid().run().expect("no trace directory");
+        let parallel = grid().run_parallel(3).expect("no trace directory");
         let (a, b) = (
             serial.heat().expect("heat requested"),
             parallel.heat().expect("heat requested"),
@@ -481,7 +507,8 @@ mod tests {
             ])
             .memories([MemoryConfig::Half])
             .trace_dir(&dir)
-            .run_parallel(2);
+            .run_parallel(2)
+            .expect("trace directory is writable");
         assert_eq!(results.cells().len(), 2);
         for stem in ["p_8192__1-2-mem", "sp_1024__1-2-mem"] {
             let trace =
@@ -502,9 +529,38 @@ mod tests {
                 FetchPolicy::eager(SubpageSize::S1K),
             ])
             .memories([MemoryConfig::Half])
-            .run();
+            .run()
+            .expect("no trace directory");
         for (a, b) in results.cells().iter().zip(plain.cells()) {
             assert_eq!(a.report, b.report);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unwritable_cell_artifact_is_an_error_naming_it() {
+        let dir = std::env::temp_dir().join(format!(
+            "gms-sweep-blocked-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let blocked = dir.join("p_8192__1-2-mem.summary.json");
+        std::fs::create_dir_all(&blocked).unwrap();
+        for jobs in [1, 2] {
+            let e = Sweep::new(apps::gdb().scaled(0.05))
+                .policies([
+                    FetchPolicy::eager(SubpageSize::S1K),
+                    FetchPolicy::fullpage(),
+                ])
+                .memories([MemoryConfig::Half])
+                .trace_dir(&dir)
+                .run_parallel(jobs)
+                .unwrap_err();
+            assert!(
+                e.to_string()
+                    .starts_with(&format!("cannot write {}: ", blocked.display())),
+                "{e}"
+            );
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -27,9 +27,9 @@ proptest! {
     #[test]
     fn parallel_matches_serial_for_any_worker_count(scale_pct in 2u64..8) {
         let scale = scale_pct as f64 / 100.0;
-        let serial = grid(scale).run();
+        let serial = grid(scale).run().expect("no trace directory");
         for jobs in [1usize, 2, 8] {
-            let parallel = grid(scale).run_parallel(jobs);
+            let parallel = grid(scale).run_parallel(jobs).expect("no trace directory");
             prop_assert_eq!(parallel.cells().len(), serial.cells().len());
             for (p, s) in parallel.cells().iter().zip(serial.cells()) {
                 prop_assert_eq!(p.policy, s.policy, "cell order diverged at jobs={}", jobs);
@@ -47,7 +47,9 @@ proptest! {
 /// memory-major ordering under a parallel run.
 #[test]
 fn default_grid_order_is_memory_major() {
-    let results = Sweep::new(apps::gdb().scaled(0.05)).run_parallel(4);
+    let results = Sweep::new(apps::gdb().scaled(0.05))
+        .run_parallel(4)
+        .expect("no trace directory");
     let memories = [
         MemoryConfig::Full,
         MemoryConfig::Half,

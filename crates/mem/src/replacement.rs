@@ -5,8 +5,9 @@
 //! default", §3.2). [`Lru`] is the faithful policy; [`Fifo`], [`Clock`]
 //! and [`Random2`] exist for the replacement-policy ablation bench.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
+use gms_units::FastMap;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -76,7 +77,7 @@ struct Node {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Lru {
-    map: HashMap<PageId, usize>,
+    map: FastMap<PageId, usize>,
     nodes: Vec<Node>,
     free: Vec<usize>,
     /// Most recently used.
@@ -90,7 +91,7 @@ impl Lru {
     #[must_use]
     pub fn new() -> Self {
         Lru {
-            map: HashMap::new(),
+            map: FastMap::default(),
             nodes: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -204,7 +205,7 @@ impl ReplacementPolicy for Lru {
 #[derive(Debug, Clone, Default)]
 pub struct Fifo {
     queue: VecDeque<PageId>,
-    present: HashMap<PageId, ()>,
+    present: FastMap<PageId, ()>,
 }
 
 impl Fifo {
@@ -257,7 +258,7 @@ impl ReplacementPolicy for Fifo {
 #[derive(Debug, Clone, Default)]
 pub struct Clock {
     ring: Vec<PageId>,
-    referenced: HashMap<PageId, bool>,
+    referenced: FastMap<PageId, bool>,
     hand: usize,
 }
 
@@ -334,8 +335,8 @@ impl ReplacementPolicy for Clock {
 #[derive(Debug, Clone)]
 pub struct Random2 {
     pages: Vec<PageId>,
-    slots: HashMap<PageId, usize>,
-    stamps: HashMap<PageId, u64>,
+    slots: FastMap<PageId, usize>,
+    stamps: FastMap<PageId, u64>,
     clock: u64,
     rng: SmallRng,
 }
@@ -346,8 +347,8 @@ impl Random2 {
     pub fn new(seed: u64) -> Self {
         Random2 {
             pages: Vec::new(),
-            slots: HashMap::new(),
-            stamps: HashMap::new(),
+            slots: FastMap::default(),
+            stamps: FastMap::default(),
             clock: 0,
             rng: SmallRng::seed_from_u64(seed),
         }

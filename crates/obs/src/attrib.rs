@@ -25,7 +25,7 @@
 
 use std::collections::HashMap;
 
-use gms_units::{Duration, NodeId, SimTime};
+use gms_units::{Duration, FastMap, NodeId, SimTime};
 
 use crate::counters::CounterRegistry;
 use crate::event::{Event, FaultClass, ResourceKind};
@@ -438,7 +438,7 @@ where
     let mut open: Option<OpenFault> = None;
     // (node, page) -> fault index whose in-flight arrivals a later
     // Stall on that page waits for.
-    let mut stall_target: HashMap<(u32, u64), usize> = HashMap::new();
+    let mut stall_target: FastMap<(u32, u64), usize> = FastMap::default();
 
     for e in events {
         match *e {

@@ -14,11 +14,12 @@
 //! * At restart the chain becomes a *candidate*: each node keeps the
 //!   `keep` highest-wait chains per time window (a reservoir keyed by
 //!   page wait; no window configured means one window spanning the
-//!   run). A candidate replaces the current minimum only when its wait
-//!   is *strictly* greater, and ties keep the incumbent, so the
-//!   retained set is a pure function of the event stream — the cluster
-//!   feeds recorders in canonical commit order, making exemplar sets
-//!   reproducible.
+//!   run). A candidate replaces the weakest incumbent (the smallest
+//!   wait, the latest fault among equals) only when its wait is
+//!   *strictly* greater, so the retained set is the window's top K by
+//!   wait with ties kept by the earlier fault: a pure function of the
+//!   event stream — the cluster feeds recorders in canonical commit
+//!   order, making exemplar sets reproducible.
 //! * Follow-on `Arrival` and `Stall` events attach to the retained
 //!   chain of the last fault on their `(node, page)` — mirroring how
 //!   [`attribute`](crate::attribute) targets stalls — so
@@ -39,11 +40,9 @@
 //! [`explain_json`] renders the retained exemplars, decomposed, as the
 //! `gms-explain/v1` document, and [`check_explain`] re-verifies it.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::hash::{BuildHasherDefault, Hasher};
 
-use gms_units::{Duration, NodeId, SimTime};
+use gms_units::{Duration, FastMap, NodeId, SimTime};
 
 use crate::attrib::FaultAttribution;
 use crate::event::{Event, FaultClass};
@@ -51,39 +50,9 @@ use crate::json::{check_schema, escape_json, JsonValue};
 use crate::recorder::Recorder;
 use crate::sketch::{tail_json, QuantileSketch};
 
-/// Multiply-xor hasher for the owner map. The map is probed on every
-/// arrival and stall — the hot path of an always-on recorder — and the
-/// default SipHash costs more than the rest of the event's handling
-/// combined. The keys are trusted simulator state (`(node, page)`), not
-/// attacker input, so a two-instruction mix is enough.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct OwnerHasher(u64);
-
-impl Hasher for OwnerHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type OwnerMap = HashMap<(u32, u64), Owner, BuildHasherDefault<OwnerHasher>>;
+/// `(node, page)` → the last closed fault on it, probed on every
+/// arrival and stall.
+type OwnerMap = FastMap<(u32, u64), Owner>;
 
 /// Per-node, per-window SLO accounting over *all* faults (not just the
 /// retained exemplars).
@@ -247,6 +216,9 @@ struct CurMeta {
     class: FaultClass,
     at_ref: u64,
     at: SimTime,
+    /// A restart-wait hint showed the reservoir will drop this fault,
+    /// so the rest of its window is not staged.
+    doomed: bool,
 }
 
 /// The last closed fault on a `(node, page)`: the target for follow-on
@@ -257,7 +229,6 @@ struct CurMeta {
 #[derive(Debug, Clone, Copy)]
 struct Owner {
     chain: Option<usize>,
-    node: u32,
     window: u64,
     wait: Duration,
 }
@@ -268,13 +239,13 @@ struct NodeState {
     slots_window: u64,
     /// Chain-slab indices of the current window's retained chains.
     slots: Vec<usize>,
-    /// Cached weakest incumbent of a full reservoir:
-    /// `(wait, start_seq, slot position)`, minimal by `(wait, seq)`.
+    /// Slot position of the cached weakest incumbent of a full
+    /// reservoir: minimal by wait, the latest fault among equals.
     /// Invalidated (`None`) whenever the slots or a retained chain's
     /// wait change; recomputed lazily at the next close. The cache
     /// turns the common dropped-candidate close into a single compare
     /// instead of a K-way scan.
-    weakest: Option<(Duration, u64, usize)>,
+    weakest: Option<usize>,
     /// One bit per `page % 64` over every page this node ever retained
     /// a chain for (never cleared within a run: evictions would need a
     /// rebuild across windows, and a stale bit only costs a map probe).
@@ -418,6 +389,33 @@ impl FlightRecorder {
         })
     }
 
+    /// The weakest incumbent of `node`'s full reservoir as `(slot
+    /// position, chain index)`: smallest wait, newest first (so ties
+    /// keep the earlier fault). Served from the cache when nothing
+    /// invalidated it.
+    fn weakest(&mut self, node: usize) -> (usize, usize) {
+        let ns = &self.nodes[node];
+        let pos = match ns.weakest {
+            Some(pos) => pos,
+            None => {
+                let pos = (0..ns.slots.len())
+                    .min_by_key(|&pos| {
+                        let c = &self.chains[ns.slots[pos]];
+                        (c.wait, std::cmp::Reverse(c.start_seq))
+                    })
+                    .expect("full reservoir has a minimum");
+                self.nodes[node].weakest = Some(pos);
+                pos
+            }
+        };
+        (pos, self.nodes[node].slots[pos])
+    }
+
+    /// Whether events of the open fault window are being staged.
+    fn staging(&self) -> bool {
+        self.cur.is_some_and(|m| !m.doomed)
+    }
+
     /// Close the staged fault at its restart.
     fn close(&mut self, restart_wait: Duration) {
         let m = self.cur.take().expect("close without an open fault");
@@ -449,23 +447,7 @@ impl FlightRecorder {
         let evict = if self.nodes[node as usize].slots.len() < keep {
             None
         } else {
-            // The weakest incumbent: smallest wait, oldest first.
-            // Served from the cache when nothing invalidated it.
-            let slot = match self.nodes[node as usize].weakest {
-                Some((_, _, pos)) => (pos, self.nodes[node as usize].slots[pos]),
-                None => {
-                    let (pos, ci) = self.nodes[node as usize]
-                        .slots
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|&(_, &ci)| (self.chains[ci].wait, self.chains[ci].start_seq))
-                        .map(|(pos, &ci)| (pos, ci))
-                        .expect("full reservoir has a minimum");
-                    self.nodes[node as usize].weakest =
-                        Some((self.chains[ci].wait, self.chains[ci].start_seq, pos));
-                    (pos, ci)
-                }
-            };
+            let slot = self.weakest(node as usize);
             if self.chains[slot.1].wait < restart_wait {
                 Some(slot)
             } else {
@@ -476,7 +458,6 @@ impl FlightRecorder {
                     (node, m.page),
                     Owner {
                         chain: None,
-                        node,
                         window: w,
                         wait: restart_wait,
                     },
@@ -518,7 +499,6 @@ impl FlightRecorder {
             (node, m.page),
             Owner {
                 chain: Some(idx),
-                node,
                 window: w,
                 wait: restart_wait,
             },
@@ -694,6 +674,33 @@ impl FlightRecorder {
         });
     }
 
+    /// Restart-wait hint: when the open fault's node already holds a
+    /// full reservoir for the fault's window whose weakest wait is at
+    /// least `wait`, [`close`](Self::close) will drop the fault, so its
+    /// staged events are discarded now and the rest of the window is
+    /// not staged. (Waits only grow until the close, so the weakest
+    /// cannot fall below `wait` in between.)
+    #[inline(never)]
+    fn on_restart_wait_hint(&mut self, wait: Duration) {
+        let Some(m) = self.cur else {
+            return;
+        };
+        let node = m.node.index() as usize;
+        let w = self.window_of(m.at);
+        let full = self
+            .nodes
+            .get(node)
+            .is_some_and(|ns| ns.slots_window == w && ns.slots.len() >= self.keep);
+        if !full {
+            return;
+        }
+        let (_, weakest) = self.weakest(node);
+        if self.chains[weakest].wait >= wait {
+            self.cur = Some(CurMeta { doomed: true, ..m });
+            self.cur_events.clear();
+        }
+    }
+
     /// `Restart`: close the staging window into a reservoir candidate.
     #[inline(never)]
     fn on_restart(&mut self, node: NodeId, page: u64, at: SimTime, wait: Duration) {
@@ -740,7 +747,7 @@ impl FlightRecorder {
         };
         let was = o.wait;
         o.wait += d;
-        let (owner_node, window, chain) = (o.node, o.window, o.chain);
+        let (owner_node, window, chain) = (node.index(), o.window, o.chain);
         // Adjust the owning fault's already-folded SLO account: the
         // stall extends its wait, and counts as a (new) violation only
         // when it pushes the wait across the threshold.
@@ -797,6 +804,7 @@ impl Recorder for FlightRecorder {
                 class,
                 at_ref,
                 at,
+                doomed: false,
             }),
             Event::Restart {
                 node,
@@ -832,7 +840,7 @@ impl Recorder for FlightRecorder {
             // outside a window it is background work the flight
             // recorder does not retain.
             _ => {
-                if self.cur.is_some() {
+                if self.staging() {
                     self.cur_events.push(event);
                 }
             }
@@ -845,17 +853,22 @@ impl Recorder for FlightRecorder {
     /// check per event.
     #[inline]
     fn record_batch(&mut self, events: impl Iterator<Item = Event> + Clone) {
-        if self.cur.is_some() {
+        if self.staging() {
             self.cur_events.extend(events);
         }
     }
 
-    /// Background events are exactly what the catch-all arm above
-    /// discards between fault windows, so the engine may skip building
-    /// them entirely while no window is open.
+    /// Background events, and those of a window a restart-wait hint
+    /// doomed, are exactly what the catch-all arm above discards, so
+    /// the engine may skip building them.
     #[inline]
     fn wants_background(&self) -> bool {
-        self.cur.is_some()
+        self.staging()
+    }
+
+    #[inline]
+    fn restart_wait_hint(&mut self, wait: Duration) {
+        self.on_restart_wait_hint(wait);
     }
 }
 
@@ -1078,6 +1091,11 @@ pub fn check_explain(doc: &JsonValue) -> Result<String, String> {
 
 #[cfg(test)]
 mod tests {
+    use std::cmp::Reverse;
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
+
     use super::*;
     use crate::attribute;
     use crate::event::ResourceKind;
@@ -1235,6 +1253,30 @@ mod tests {
     }
 
     #[test]
+    fn restart_wait_hint_declines_a_losing_window() {
+        let mut rec = FlightRecorder::new(1);
+        feed(&mut rec, fetch(0, 1, 0, 5_000));
+        let losing = fetch(0, 2, 6_000, 1_000);
+        rec.record(losing[0]);
+        assert!(rec.wants_background(), "open window is staged");
+        rec.restart_wait_hint(Duration::from_nanos(5_000));
+        assert!(!rec.wants_background(), "a tie with the weakest loses");
+        feed(&mut rec, losing[1..].iter().copied());
+        // A winning wait keeps staging.
+        let winning = fetch(0, 3, 8_000, 9_000);
+        rec.record(winning[0]);
+        rec.restart_wait_hint(Duration::from_nanos(9_000));
+        assert!(rec.wants_background());
+        feed(&mut rec, winning[1..].iter().copied());
+        rec.seal();
+        assert_eq!(
+            (rec.total_faults(), rec.dropped(), rec.retained()),
+            (3, 1, 1)
+        );
+        assert_eq!(rec.exemplars()[0].events.len(), 3, "winner fully staged");
+    }
+
+    #[test]
     fn slo_tallies_cover_all_faults() {
         let mut rec = FlightRecorder::new(1)
             .with_slo(Duration::from_nanos(1_000))
@@ -1306,5 +1348,207 @@ mod tests {
             SloTally::check(&bad, "slo"),
             Err("slo.under 2 exceeds slo.faults 1".to_owned())
         );
+    }
+
+    /// Spacing of the generated restart waits: every fault waits a
+    /// whole number of units, so many faults tie.
+    const UNIT: u64 = 10_000;
+
+    /// One generated fault: `(node, page, wait units, follow-on kind,
+    /// stall ns, gap before the fault ns)`.
+    type FaultSpec = (u32, u64, u64, u8, u64, u64);
+
+    /// A window tally as `(window, faults, violations, wait ns)`.
+    type Tally = (u64, u64, u64, u64);
+
+    /// What a sort-everything oracle expects of a recorder fed the
+    /// stream: the retained exemplars as `(node, page, window, wait,
+    /// events)` worst first, per node the window tallies, and the run's
+    /// total wait.
+    type Expected = (
+        Vec<(u32, u64, u64, u64, Vec<Event>)>,
+        BTreeMap<u32, Vec<Tally>>,
+        u64,
+    );
+
+    /// The event stream of `specs`, plus the oracle's expectation.
+    ///
+    /// Each fault is a `Fault`, one occupancy and its `Restart`,
+    /// followed by its arrivals and stalls before its node's next
+    /// fault, as the engine emits them. A candidate is ranked by its
+    /// wait at restart (module docs), so a stall that reaches a
+    /// retained chain — one after an arrival — must not reorder it:
+    /// faults of odd units get an arrival then a stall of `units` ns
+    /// (the same for the whole wait class, below the class spacing).
+    /// Faults of even units get nothing, an arrival alone, or a stall
+    /// alone of any length; a stall without an arrival extends the
+    /// fault's SLO account but not its chain.
+    fn stream(specs: &[FaultSpec], keep: usize, window: u64, slo: u64) -> (Vec<Event>, Expected) {
+        struct Fold {
+            node: u32,
+            page: u64,
+            window: u64,
+            seq: usize,
+            chain_wait: u64,
+            total_wait: u64,
+            events: Vec<Event>,
+        }
+        let mut events = Vec::new();
+        let mut faults: Vec<Fold> = Vec::new();
+        let mut clocks = [0u64; 3];
+        for (seq, &(n, page, units, follow, stall, gap)) in specs.iter().enumerate() {
+            let node = NodeId::new(n);
+            let at = clocks[n as usize] + gap;
+            let wait = units * UNIT;
+            let mut chain = fetch(n, page, at, wait);
+            chain[0] = Event::Fault {
+                node,
+                page,
+                subpage: 0,
+                class: FaultClass::Remote,
+                at_ref: seq as u64,
+                at: t(at),
+            };
+            let end = at + wait;
+            let arrival = Event::Arrival {
+                node,
+                page,
+                msg: 1,
+                at: t(end + 1),
+                subpages: 0b10,
+            };
+            let stall_for = |ns: u64| Event::Stall {
+                node,
+                page,
+                start: t(end),
+                end: t(end + ns),
+            };
+            let (follow_ons, stall_ns) = match (units % 2, follow) {
+                (1, _) => (vec![arrival, stall_for(units)], units),
+                (_, 0) => (vec![], 0),
+                (_, 1) => (vec![arrival], 0),
+                _ => (vec![stall_for(stall)], stall),
+            };
+            events.extend_from_slice(&chain);
+            events.extend_from_slice(&follow_ons);
+            clocks[n as usize] = end + stall_ns + 2;
+            // The chain takes its arrival, and a stall only behind one.
+            let chain_stall = if follow_ons.len() == 2 { stall_ns } else { 0 };
+            if follow_ons.first() == Some(&arrival) {
+                chain.extend_from_slice(&follow_ons);
+            }
+            faults.push(Fold {
+                node: n,
+                page,
+                window: at / window,
+                seq,
+                chain_wait: wait + chain_stall,
+                total_wait: wait + stall_ns,
+                events: chain,
+            });
+        }
+
+        // Sort everything: per (node, window), the `keep` worst chains,
+        // ties kept by the earlier fault.
+        let mut groups: BTreeMap<(u32, u64), Vec<&Fold>> = BTreeMap::new();
+        for f in &faults {
+            groups.entry((f.node, f.window)).or_default().push(f);
+        }
+        let mut kept: Vec<&Fold> = Vec::new();
+        for group in groups.values_mut() {
+            group.sort_by_key(|f| (Reverse(f.chain_wait), f.seq));
+            kept.extend(group.iter().take(keep));
+        }
+        kept.sort_by_key(|f| (Reverse(f.chain_wait), f.seq));
+        let exemplars = kept
+            .iter()
+            .map(|f| (f.node, f.page, f.window, f.chain_wait, f.events.clone()))
+            .collect();
+
+        let mut tallies: BTreeMap<u32, BTreeMap<u64, Tally>> = BTreeMap::new();
+        for f in &faults {
+            let tally = tallies
+                .entry(f.node)
+                .or_default()
+                .entry(f.window)
+                .or_insert((f.window, 0, 0, 0));
+            tally.1 += 1;
+            tally.2 += u64::from(f.total_wait > slo);
+            tally.3 += f.total_wait;
+        }
+        let tallies = tallies
+            .into_iter()
+            .map(|(node, windows)| (node, windows.into_values().collect()))
+            .collect();
+        let total_wait = faults.iter().map(|f| f.total_wait).sum();
+        (events, (exemplars, tallies, total_wait))
+    }
+
+    fn arb_fault() -> impl Strategy<Value = FaultSpec> {
+        (
+            0u32..3,
+            0u64..24,
+            1u64..6,
+            0u8..3,
+            1u64..30_000,
+            0u64..20_000,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The bounded reservoir retains exactly what sorting every
+        /// fault would: per node and window, the `keep` worst chains
+        /// by final wait, ties kept by the earlier fault — with their
+        /// complete event chains — and its SLO tallies and run totals
+        /// count every fault.
+        #[test]
+        fn worst_k_matches_a_sort_everything_oracle(
+            specs in prop::collection::vec(arb_fault(), 0..60),
+            keep in 1usize..4,
+            window in prop_oneof![Just(u64::MAX), 20_000u64..200_000],
+            slo_units in 0u64..6,
+            hints in prop::bool::ANY,
+        ) {
+            let slo = slo_units * UNIT + UNIT / 2;
+            let (events, (exemplars, tallies, total_wait)) = stream(&specs, keep, window, slo);
+            let mut rec = FlightRecorder::new(keep).with_slo(Duration::from_nanos(slo));
+            if window != u64::MAX {
+                rec = rec.with_window(Duration::from_nanos(window));
+            }
+            for (i, &event) in events.iter().enumerate() {
+                rec.record(event);
+                // As the engine does, tell the restart wait before the
+                // window's occupancy: a doomed window must drop exactly
+                // what the close would have dropped.
+                if let (true, Event::Fault { .. }, Some(&Event::Restart { wait, .. })) =
+                    (hints, event, events.get(i + 2))
+                {
+                    rec.restart_wait_hint(wait);
+                }
+            }
+            rec.seal();
+
+            let got: Vec<_> = rec
+                .exemplars()
+                .iter()
+                .map(|e| (e.node.index(), e.page, e.window, e.wait.as_nanos(), e.events.to_vec()))
+                .collect();
+            prop_assert_eq!(got, exemplars);
+            prop_assert_eq!(rec.total_faults(), specs.len() as u64);
+            prop_assert_eq!(rec.total_wait(), Duration::from_nanos(total_wait));
+            let windows: BTreeMap<u32, Vec<Tally>> = rec
+                .windows()
+                .map(|(node, ws)| {
+                    let ws = ws
+                        .iter()
+                        .map(|w| (w.window, w.faults, w.violations, w.wait.as_nanos()))
+                        .collect();
+                    (node.index(), ws)
+                })
+                .collect();
+            prop_assert_eq!(windows, tallies);
+        }
     }
 }

@@ -35,21 +35,18 @@
 //!
 //! By default a `HeatMap` declines background events
 //! ([`Recorder::wants_background`] is `false`), so the engine skips
-//! constructing the occupancy firehose and always-on heat recording
-//! stays within the benched `heat_overhead_pct` budget. Opting into
+//! constructing the occupancy firehose; what always-on heat recording
+//! still costs is the benched `heat_overhead_pct` cell. Opting into
 //! [`HeatMap::with_wire_tracking`] keeps background events on and
 //! additionally folds wire occupancies into per-node busy-time buckets,
 //! which [`heat_perfetto`] renders as per-node wire-utilization counter
 //! tracks next to the hot-region fault-rate counters.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::hash::BuildHasherDefault;
 
-use gms_units::{Duration, NodeId};
+use gms_units::{Duration, FastMap, NodeId};
 
 use crate::event::{Event, FaultClass, ResourceKind};
-use crate::flight::OwnerHasher;
 use crate::json::{check_schema, JsonValue};
 use crate::recorder::Recorder;
 use crate::sketch::QuantileSketch;
@@ -67,8 +64,8 @@ const MAX_BUCKETS: usize = 16_384;
 /// Never-matching region-cache sentinel (no node is `u32::MAX`).
 const CACHE_EMPTY: (u32, u64, u32) = (u32::MAX, u64::MAX, 0);
 
-type RegionIndex = HashMap<(u32, u64), u32, BuildHasherDefault<OwnerHasher>>;
-type LastFaultMap = HashMap<(u32, u64), u64, BuildHasherDefault<OwnerHasher>>;
+type RegionIndex = FastMap<(u32, u64), u32>;
+type LastFaultMap = FastMap<(u32, u64), u64>;
 
 /// Accumulated statistics of one `(node, region)` cell.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -975,6 +972,8 @@ pub fn heat_perfetto(heat: &HeatMap, top: usize) -> String {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::json::JsonValue;
     use gms_units::SimTime;
@@ -1297,6 +1296,126 @@ mod tests {
         heat
     }
 
+    /// A region's counters as a naive fold keeps them: every field of
+    /// [`RegionStats`] but the refault sketch's intervals (their count
+    /// is `refaults`), with the fault series as `bucket → count`.
+    #[derive(Debug, Default, PartialEq, Eq)]
+    struct NaiveRegion {
+        faults: [u64; 4],
+        first_touches: u64,
+        refaults: u64,
+        subpage_arrivals: u64,
+        subpage_mask: u32,
+        prefetched: (u64, u64),
+        wasted: (u64, u64),
+        replica_writes: u64,
+        fault_series: BTreeMap<usize, u32>,
+    }
+
+    impl NaiveRegion {
+        fn of(stats: &RegionStats) -> Self {
+            NaiveRegion {
+                faults: stats.faults,
+                first_touches: stats.first_touches,
+                refaults: stats.refaults(),
+                subpage_arrivals: stats.subpage_arrivals,
+                subpage_mask: stats.subpage_mask,
+                prefetched: (stats.prefetched_subpages, stats.prefetched_bytes),
+                wasted: (stats.wasted_subpages, stats.wasted_bytes),
+                replica_writes: stats.replica_writes,
+                fault_series: series_map(&stats.fault_series),
+            }
+        }
+    }
+
+    /// The non-zero buckets of a series.
+    fn series_map(series: &[u32]) -> BTreeMap<usize, u32> {
+        series
+            .iter()
+            .enumerate()
+            .filter(|&(_, &n)| n > 0)
+            .map(|(i, &n)| (i, n))
+            .collect()
+    }
+
+    /// Per-node `(faults, fault series, replica writes, repairs)`.
+    type NaiveNode = (u64, BTreeMap<usize, u32>, u64, u64);
+
+    /// The oracle: one pass over the events into ordered maps, with the
+    /// set of pages faulted so far deciding first touch vs refault.
+    fn naive_fold(
+        events: &[Event],
+        shift: u32,
+        quantum: u64,
+    ) -> (BTreeMap<(u32, u64), NaiveRegion>, BTreeMap<u32, NaiveNode>) {
+        let mut regions: BTreeMap<(u32, u64), NaiveRegion> = BTreeMap::new();
+        let mut nodes: BTreeMap<u32, NaiveNode> = BTreeMap::new();
+        let mut faulted = std::collections::BTreeSet::new();
+        for &e in events {
+            match e {
+                Event::Fault {
+                    node,
+                    page,
+                    class,
+                    at,
+                    ..
+                } => {
+                    let bucket = ((at.as_nanos() / quantum) as usize).min(MAX_BUCKETS - 1);
+                    let r = regions.entry((node.index(), page >> shift)).or_default();
+                    let class = HeatMap::CLASSES.iter().position(|&c| c == class).unwrap();
+                    r.faults[class] += 1;
+                    *r.fault_series.entry(bucket).or_default() += 1;
+                    if faulted.insert((node, page)) {
+                        r.first_touches += 1;
+                    } else {
+                        r.refaults += 1;
+                    }
+                    let n = nodes.entry(node.index()).or_default();
+                    n.0 += 1;
+                    *n.1.entry(bucket).or_default() += 1;
+                }
+                Event::Arrival {
+                    node,
+                    page,
+                    subpages,
+                    ..
+                } => {
+                    let r = regions.entry((node.index(), page >> shift)).or_default();
+                    r.subpage_arrivals += u64::from(subpages.count_ones());
+                    r.subpage_mask |= subpages;
+                }
+                Event::Prefetch {
+                    node,
+                    page,
+                    subpages,
+                    sub_bytes,
+                    unused,
+                    ..
+                } => {
+                    let r = regions.entry((node.index(), page >> shift)).or_default();
+                    let count = u64::from(subpages.count_ones());
+                    let moved = if unused {
+                        &mut r.wasted
+                    } else {
+                        &mut r.prefetched
+                    };
+                    moved.0 += count;
+                    moved.1 += count * u64::from(sub_bytes);
+                }
+                Event::ReplicaWrite { node, page, .. } => {
+                    regions
+                        .entry((node.index(), page >> shift))
+                        .or_default()
+                        .replica_writes += 1;
+                    nodes.entry(node.index()).or_default().2 += 1;
+                }
+                Event::Repair { node, .. } => nodes.entry(node.index()).or_default().3 += 1,
+                _ => {}
+            }
+        }
+        (regions, nodes)
+    }
+
     proptest! {
         /// `HeatMap::merge` is commutative and associative, with the
         /// empty map as identity — the laws that make any merge tree
@@ -1358,6 +1477,41 @@ mod tests {
             // accumulator's own totals.
             let (checked, _) = check_heat(&v).expect("writer output passes");
             prop_assert_eq!(checked, totals);
+        }
+
+        /// Every per-region counter, first touch and refault count, and
+        /// every per-node aggregate equals a naive ordered-map fold of
+        /// the same events, for any region size and quantum.
+        #[test]
+        fn fold_matches_a_naive_oracle(
+            xs in crate::event::arb_events(),
+            shift in 0u32..8,
+            quantum in prop_oneof![Just(1_000_000u64), 1u64..50_000],
+        ) {
+            let mut heat = HeatMap::new()
+                .with_region_pages(1 << shift)
+                .with_quantum(Duration::from_nanos(quantum));
+            for &e in &xs {
+                heat.record(e);
+            }
+            let (regions, nodes) = naive_fold(&xs, shift, quantum);
+            let got: BTreeMap<(u32, u64), NaiveRegion> = heat
+                .regions()
+                .into_iter()
+                .map(|(node, region, stats)| ((node.index(), region), NaiveRegion::of(stats)))
+                .collect();
+            prop_assert_eq!(got, regions);
+            for (node, nh) in heat.nodes() {
+                let want = nodes.get(&node.index()).cloned().unwrap_or_default();
+                prop_assert_eq!(
+                    (nh.faults, series_map(&nh.fault_series), nh.replica_writes, nh.repairs),
+                    want
+                );
+            }
+            prop_assert_eq!(
+                heat.nodes().count(),
+                nodes.keys().next_back().map_or(0, |&n| n as usize + 1)
+            );
         }
     }
 }

@@ -1,6 +1,8 @@
 //! The `Recorder` trait, its two standard implementations, and the
 //! pair and `Option` combinators that compose recorders.
 
+use gms_units::Duration;
+
 use crate::event::Event;
 
 /// An event sink the simulation engine is generic over.
@@ -40,9 +42,11 @@ pub trait Recorder {
         }
     }
 
-    /// Whether the recorder currently wants *background* events —
-    /// occupancies that belong to no open fault window (no `Fault`
-    /// observed without its matching `Restart`). The engine may skip
+    /// Whether the recorder currently wants occupancy events: the
+    /// *background* ones that belong to no open fault window (no
+    /// `Fault` observed without its matching `Restart`), and those of a
+    /// window it has not given up on (see
+    /// [`Recorder::restart_wait_hint`]). The engine may skip
     /// constructing and forwarding such events while this returns
     /// `false`, so a recorder returning `false` must already treat them
     /// as discarded: the hint can only elide work, never change what
@@ -53,6 +57,16 @@ pub trait Recorder {
     fn wants_background(&self) -> bool {
         true
     }
+
+    /// The wait the open fault will restart with, told before the
+    /// engine forwards the fault's bulk of in-window occupancies (the
+    /// `Restart` event still carries it). A recorder that will discard
+    /// the whole window given this wait may stop staging it, and then
+    /// return `false` from [`Recorder::wants_background`] until the
+    /// window closes. Like that hint it can only elide work, never
+    /// change what the recorder retains. The default ignores it.
+    #[inline]
+    fn restart_wait_hint(&mut self, _wait: Duration) {}
 }
 
 /// The disabled recorder: `ENABLED = false`, `record` unreachable.
@@ -219,6 +233,11 @@ impl<R: Recorder> Recorder for &mut R {
     fn wants_background(&self) -> bool {
         (**self).wants_background()
     }
+
+    #[inline]
+    fn restart_wait_hint(&mut self, wait: Duration) {
+        (**self).restart_wait_hint(wait);
+    }
 }
 
 /// A pair records every event into both members, in order, so several
@@ -254,6 +273,16 @@ impl<A: Recorder, B: Recorder> Recorder for (A, B) {
     fn wants_background(&self) -> bool {
         (A::ENABLED && self.0.wants_background()) || (B::ENABLED && self.1.wants_background())
     }
+
+    #[inline]
+    fn restart_wait_hint(&mut self, wait: Duration) {
+        if A::ENABLED {
+            self.0.restart_wait_hint(wait);
+        }
+        if B::ENABLED {
+            self.1.restart_wait_hint(wait);
+        }
+    }
 }
 
 /// An optional recorder: `Some` forwards, `None` records nothing and
@@ -279,6 +308,13 @@ impl<R: Recorder> Recorder for Option<R> {
     #[inline]
     fn wants_background(&self) -> bool {
         self.as_ref().is_some_and(Recorder::wants_background)
+    }
+
+    #[inline]
+    fn restart_wait_hint(&mut self, wait: Duration) {
+        if let Some(rec) = self {
+            rec.restart_wait_hint(wait);
+        }
     }
 }
 

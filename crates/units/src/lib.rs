@@ -25,6 +25,7 @@
 mod addr;
 mod bytes;
 mod cycles;
+mod hash;
 mod ids;
 mod rate;
 mod time;
@@ -32,6 +33,7 @@ mod time;
 pub use addr::VirtAddr;
 pub use bytes::Bytes;
 pub use cycles::{ClockRate, Cycles};
+pub use hash::{FastBuildHasher, FastHasher, FastMap};
 pub use ids::NodeId;
 pub use rate::BytesPerSec;
 pub use time::{Duration, SimTime};
